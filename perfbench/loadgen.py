@@ -28,6 +28,7 @@ from repro.execution import ExecutionEngine, LinearImpact
 from repro.experiments import risk_regime_preset
 from repro.serving import PortfolioService, RebalanceRequest, ServingSupervisor
 from repro.serving.http import serve
+from hostspeed import SpeedMeter
 from tracing import merge
 from workloads import (
     BACKTEST_AGENT,
@@ -179,17 +180,17 @@ class Front:
 
 
 def start_fronts(workload: str, seed: int, tracer, out_dir: str):
-    """SETUP_REPEATS cold starts; keeps the last, drains the others."""
-    times, generate = [], []
+    """SETUP_REPEATS cold starts; keeps the last, drains the others.
+    Set-up time is their median, scaled to the reference host speed."""
+    meter = SpeedMeter()
+    generate = []
     front = None
     for _ in range(SETUP_REPEATS):
         if front is not None:
             front.stop()
-        t0 = time.perf_counter()
-        front = Front(workload, seed, tracer, out_dir)
-        times.append(time.perf_counter() - t0)
+        front = meter.time(lambda: Front(workload, seed, tracer, out_dir))
         generate.append(front.generate_s)
-    return front, float(np.median(times)), float(np.median(generate))
+    return front, meter.median_scaled_s(), float(np.median(generate))
 
 
 # ----------------------------------------------------------------------
@@ -477,17 +478,19 @@ def run_serve_rounds(seed: int, seconds: float, tracer, out_dir: str) -> Result:
         rounds.append((0.0, status, body))
         if tracer is not None:
             tracer.reset()
-        t_start = time.perf_counter()
-        deadline = t_start + seconds
+        # One speed-meter block per round; its kernel runs between rounds.
+        meter = SpeedMeter()
+        deadline = time.perf_counter() + seconds
+        meter.start()
         while time.perf_counter() < deadline:
             trace_id = f"round-{len(rounds)}" if tracer is not None else None
             sent = time.perf_counter()
             status, body = client.post("/rebalance/batch", payload, trace_id)
             done = time.perf_counter()
+            meter.mark(ROUNDS_SESSIONS)
             if tracer is not None:
                 tracer.record("loadgen.round", sent, done, trace_id)
             rounds.append((done - sent, status, body))
-        elapsed = time.perf_counter() - t_start
     finally:
         client.close()
         report = front.stop()
@@ -495,11 +498,13 @@ def run_serve_rounds(seed: int, seconds: float, tracer, out_dir: str) -> Result:
     _count_failures(result, [status for _, status, _ in measured])
     result.check(result.failed == 0, f"{result.failed} of {result.attempted} rounds failed")
     latencies = [lat for lat, _, _ in measured]
-    result.e2e = {"setup_s": setup_s,
-                  "ops_per_s": ROUNDS_SESSIONS * len(measured) / elapsed}
+    result.e2e = {"setup_s": setup_s, "ops_per_s": meter.rate()}
     _front_report(result, report, peak_rss_mb())
-    result.samples = {"latency": len(latencies), "setup_s": SETUP_REPEATS, "peak_rss_mb": 1}
+    result.samples = {"latency": len(latencies), "ops_per_s": len(meter.blocks),
+                      "setup_s": SETUP_REPEATS, "peak_rss_mb": 1}
     result.named = {"decisions_per_s": result.e2e["ops_per_s"],
+                    "decisions_per_s_raw": meter.raw_rate(),
+                    "host_speed": meter.host_speed(),
                     **latency_stats(latencies)}
     result.n_ops = len(measured)
     result.op_seconds = float(sum(latencies))

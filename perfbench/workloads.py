@@ -23,6 +23,8 @@ from repro.data import MarketGenerator
 from repro.envs import Backtester, ObservationConfig
 from repro.loihi.energy import paper_loihi_model
 
+from hostspeed import SpeedMeter
+
 SETUP_REPEATS = 7
 N_ASSETS = 4
 OBSERVATION = ObservationConfig(window=6, stride=1, momentum_horizons=(1, 3, 6))
@@ -35,7 +37,8 @@ TRAIN_SPAN = ("2018/01/01", "2019/01/01", 1800)
 TRAIN_BATCH = 32
 TRAIN_LR = 1e-5
 TRAIN_PREFIX_STEPS = 16  # fused steps checked against the graph oracle
-TRAIN_BLOCK = 100        # steps per throughput sample
+TRAIN_BLOCK = 20         # steps per throughput sample (one speed-meter block)
+TRAIN_VISIT = 25         # blocks per turn of one instance (about a second)
 
 # backtest: the paper's Table 3 path, commission only, 16 panels in lockstep.
 BACKTEST_AGENT = dict(hidden_sizes=(128, 128), timesteps=5, encoder_pop_size=10,
@@ -43,6 +46,7 @@ BACKTEST_AGENT = dict(hidden_sizes=(128, 128), timesteps=5, encoder_pop_size=10,
 BACKTEST_PANELS = 16
 BACKTEST_SPAN = ("2019/01/01", "2019/02/01", 7200)
 ACTIVITY_SAMPLES = 32    # fixed sample of back-test states for the paper counts
+BACKTEST_CHUNK = 8       # lockstep periods per speed-meter block
 
 
 @dataclass
@@ -100,19 +104,23 @@ def latency_stats(values_s: List[float]) -> Dict[str, float]:
             "samples_beyond_p95": float(n - int(np.ceil(0.95 * n)))}
 
 
-def timed_setups(build: Callable[[], dict], check: Callable[[dict], None] = None) -> tuple:
-    """Run ``build`` SETUP_REPEATS times and return the median time and
-    the last product; ``check`` sees each product, untimed."""
-    times = []
-    product = None
-    for _ in range(SETUP_REPEATS):
-        product = None  # let the previous set-up go before the next one
-        t0 = time.perf_counter()
-        product = build()
-        times.append(time.perf_counter() - t0)
+def instance_seed(seed: int, *keys: int) -> int:
+    """A seed for one input set of the run, derived from the run's seed."""
+    return int(np.random.SeedSequence([seed, *keys]).generate_state(1)[0])
+
+
+def timed_setups(build: Callable[[int], dict], check: Callable[[dict], None] = None) -> tuple:
+    """Build the run's SETUP_REPEATS instances, ``build(k)`` for each k
+    (each a cold set-up of its own inputs), and return the median
+    set-up time, scaled to the reference host speed, with the products;
+    ``check`` sees each product, untimed."""
+    meter = SpeedMeter()
+    products = []
+    for k in range(SETUP_REPEATS):
+        products.append(meter.time(lambda: build(k)))
         if check is not None:
-            check(product)
-    return float(np.median(times)), product
+            check(products[-1])
+    return meter.median_scaled_s(), products
 
 
 def make_panel(seed: int, span, n_assets: int = N_ASSETS):
@@ -142,56 +150,70 @@ def run_train(seed: int, seconds: float, tracer=None) -> Result:
     result = Result(root="agents.train_step")
     gen_times: List[float] = []
 
-    def build():
+    def build(k):
+        instance = instance_seed(seed, k)
         t0 = time.perf_counter()
-        panel = make_panel(seed, TRAIN_SPAN)
+        panel = make_panel(instance, TRAIN_SPAN)
         gen_times.append(time.perf_counter() - t0)
-        agent, trainer = _trainer(panel, seed, use_fused=True)
-        return {"panel": panel, "agent": agent, "trainer": trainer}
+        agent, trainer = _trainer(panel, instance, use_fused=True)
+        return {"seed": instance, "panel": panel, "agent": agent, "trainer": trainer}
 
     def prefix(product):
-        # The fused prefix doubles as warm-up; every set-up must reproduce it.
+        # The fused prefix doubles as warm-up.
         for _ in range(TRAIN_PREFIX_STEPS):
             product["trainer"].train_step()
-        result.digests.append(_train_digest(product["agent"], product["trainer"]))
+        product["digest"] = _train_digest(product["agent"], product["trainer"])
+        result.digests.append(product["digest"])
 
-    setup_s, setup = timed_setups(build, prefix)
+    setup_s, instances = timed_setups(build, prefix)
     result.layer["data.generate_s"] = float(np.median(gen_times))
-    result.check(len(set(result.digests)) == 1, "set-up repeats disagree on the fused prefix")
 
-    # Graph-path oracle: the same prefix through the closure graph.
-    oracle_agent, oracle = _trainer(setup["panel"], seed, use_fused=False)
-    for _ in range(TRAIN_PREFIX_STEPS):
-        oracle.train_step()
-    result.check(_train_digest(oracle_agent, oracle) == result.digests[0],
-                 "fused prefix differs from the graph oracle")
-    trainer = setup["trainer"]
-    del setup, oracle, oracle_agent
+    # Graph-path oracle: each instance's prefix through the closure graph.
+    for product in instances:
+        oracle_agent, oracle = _trainer(product["panel"], product["seed"], use_fused=False)
+        for _ in range(TRAIN_PREFIX_STEPS):
+            oracle.train_step()
+        result.check(_train_digest(oracle_agent, oracle) == product["digest"],
+                     f"fused prefix of instance seed {product['seed']} differs from the graph oracle")
+    trainers = [product["trainer"] for product in instances]
+    del instances, oracle, oracle_agent
     if tracer is not None:
         tracer.reset()
+    # The instances in turn, TRAIN_VISIT blocks of TRAIN_BLOCK steps each.
+    # Turns much shorter than that make every step start with another
+    # instance's data in the caches, which makes the rate depend on
+    # cache contention from the rest of the host.
     step_times: List[float] = []
-    block_rates: List[float] = []
+    meter = SpeedMeter()
     deadline = time.perf_counter() + seconds
     clock = time.perf_counter
-    while clock() < deadline or len(step_times) < TRAIN_BLOCK:
-        b0 = clock()
-        for _ in range(TRAIN_BLOCK):
-            t0 = clock()
-            stats = trainer.train_step()
-            step_times.append(clock() - t0)
-            result.attempted += 1
-            if not np.isfinite(stats["loss"]):
-                result.failed += 1
-        block_rates.append(TRAIN_BLOCK / (clock() - b0))
+    meter.start()
+    turns = 0
+    while clock() < deadline or turns < len(trainers):
+        k = turns % len(trainers)
+        for _ in range(TRAIN_VISIT):
+            for _ in range(TRAIN_BLOCK):
+                t0 = clock()
+                stats = trainers[k].train_step()
+                step_times.append(clock() - t0)
+                result.attempted += 1
+                if not np.isfinite(stats["loss"]):
+                    result.failed += 1
+            meter.mark(TRAIN_BLOCK, k)
+            if clock() >= deadline and turns >= len(trainers) - 1:
+                break
+        turns += 1
     if tracer is not None:
         result.spans = tracer.spans
     result.n_ops = len(step_times)
     result.op_seconds = float(np.sum(step_times))
-    result.e2e = {"setup_s": setup_s, "ops_per_s": float(np.median(block_rates)),
+    result.e2e = {"setup_s": setup_s, "ops_per_s": meter.rate(),
                   "peak_rss_mb": peak_rss_mb()}
-    result.samples = {"latency": len(step_times), "ops_per_s": len(block_rates),
+    result.samples = {"latency": len(step_times), "ops_per_s": len(meter.blocks),
                       "setup_s": SETUP_REPEATS, "peak_rss_mb": 1}
     result.named = {"train_steps_per_s": result.e2e["ops_per_s"],
+                    "train_steps_per_s_raw": meter.raw_rate(),
+                    "host_speed": meter.host_speed(),
                     **latency_stats(step_times)}
     result.check(result.failed == 0, f"{result.failed} steps produced a non-finite loss")
     return result
@@ -237,69 +259,101 @@ def run_backtest(seed: int, seconds: float, tracer=None) -> Result:
     result = Result(root="envs.backtest")
     gen_times: List[float] = []
 
-    def build():
+    def build(k):
+        instance = instance_seed(seed, k)
         t0 = time.perf_counter()
-        panels = [make_panel(seed * 1000 + i, BACKTEST_SPAN) for i in range(BACKTEST_PANELS)]
+        panels = [make_panel(instance_seed(instance, i), BACKTEST_SPAN)
+                  for i in range(BACKTEST_PANELS)]
         gen_times.append(time.perf_counter() - t0)
-        agent = SDPAgent(N_ASSETS, observation=OBSERVATION, seed=seed, **BACKTEST_AGENT)
+        agent = SDPAgent(N_ASSETS, observation=OBSERVATION, seed=instance, **BACKTEST_AGENT)
         return {"panels": panels, "agent": agent,
                 "engine": Backtester(observation=OBSERVATION)}
 
-    setup_s, setup = timed_setups(build)
+    setup_s, instances = timed_setups(build)
     result.layer["data.generate_s"] = float(np.median(gen_times))
-    agent, panels, engine = setup["agent"], setup["panels"], setup["engine"]
+    engine = instances[0]["engine"]
 
-    # Warm-up run, also the reference every measured repeat must equal.
-    reference = engine.run_many(agent, panels)
-    ref_digest = digest(*(r.weights for r in reference))
-    decisions = sum(len(r.weights) for r in reference)
+    # Warm-up run on the first instance.  Each instance's first run is
+    # the reference its later runs must equal.
+    references = {0: engine.run_many(instances[0]["agent"], instances[0]["panels"])}
 
-    # Period-to-period intervals of the lockstep loop: one timestamp per
-    # batched forward, so the probe costs nothing measurable.
-    stamps: List[float] = []
-    decide = agent.decide_batch
+    # Period-to-period intervals of the lockstep loop (one timestamp per
+    # batched forward, so the probe costs nothing measurable), and a
+    # speed-meter block every BACKTEST_CHUNK periods, run outside them.
+    # A traced run closes a block only at the end of each run_many, so
+    # no kernel runs inside the root span it accounts.
+    chunk_periods = BACKTEST_CHUNK if tracer is None else -1
+    intervals: List[float] = []
+    meter = SpeedMeter()
+    clock = time.perf_counter
+    chunk = [0, 0, 0]   # instance, decisions and periods since the last block ended
+    last = [None]
+    decide = [None]
 
     def stamped(states):
-        stamps.append(time.perf_counter())
-        return decide(states)
+        now = resume = clock()
+        if chunk[2] == chunk_periods:
+            meter.mark(chunk[1], chunk[0])
+            chunk[1:] = [0, 0]
+            resume = clock()
+        if last[0] is not None:
+            intervals.append(now - last[0])
+        last[0] = resume
+        actions = decide[0](states)
+        chunk[1] += len(actions)
+        chunk[2] += 1
+        return actions
 
-    agent.decide_batch = stamped
     if tracer is not None:
         tracer.reset()
-    rates, intervals = [], []
+    runs = [0] * len(instances)
     deadline = time.perf_counter() + seconds
-    while time.perf_counter() < deadline or not rates:
-        stamps.clear()
-        t0 = time.perf_counter()
-        out = engine.run_many(agent, panels)
-        elapsed = time.perf_counter() - t0
-        result.op_seconds += elapsed
-        rates.append(decisions / elapsed)
-        intervals.extend(np.diff(stamps))
-        result.attempted += decisions
-        result.digests.append(digest(*(r.weights for r in out)))
-    del agent.decide_batch
+    k = 0
+    while time.perf_counter() < deadline or not all(runs):
+        agent, panels = instances[k]["agent"], instances[k]["panels"]
+        decide[0] = agent.decide_batch
+        agent.decide_batch = stamped
+        last[0] = None
+        chunk[:] = [k, 0, 0]
+        meter.start()
+        t0 = clock()
+        try:
+            out = engine.run_many(agent, panels)
+        finally:
+            del agent.decide_batch
+        t1 = meter.mark(chunk[1], k)
+        result.op_seconds += t1 - t0
+        result.attempted += sum(len(r.weights) for r in out)
+        reference = references.setdefault(k, out)
+        result.check(all(np.array_equal(r.weights, ref.weights) for r, ref in zip(out, reference)),
+                     f"repeated run_many outputs differ on instance {k}")
+        runs[k] += 1
+        k = (k + 1) % len(instances)
     if tracer is not None:
         result.spans = tracer.spans
         tracer.reset()
     result.n_ops = result.attempted
-    result.check(all(d == ref_digest for d in result.digests),
-                 "repeated run_many outputs differ")
+    for k, product in enumerate(instances):
+        result.digests.append(digest(*(r.weights for r in references[k])))
+        # One panel through the sequential graph path must match bit for bit.
+        agent = product["agent"]
+        agent.decide_batch = _graph_decide(agent)
+        try:
+            graph = engine.run(agent, product["panels"][0])
+        finally:
+            del agent.decide_batch
+        result.check(np.array_equal(graph.weights, references[k][0].weights),
+                     f"lockstep run_many differs from the sequential graph path on instance {k}")
 
-    # One panel through the sequential graph path must match bit for bit.
-    agent.decide_batch = _graph_decide(agent)
-    try:
-        graph = engine.run(agent, panels[0])
-    finally:
-        del agent.decide_batch
-    result.check(np.array_equal(graph.weights, reference[0].weights),
-                 "lockstep run_many differs from the sequential graph path")
-
+    agent, panels, reference = instances[0]["agent"], instances[0]["panels"], references[0]
     result.layer.update(paper_quantities(agent, panels, reference, seed))
-    result.e2e = {"setup_s": setup_s, "ops_per_s": float(np.median(rates)),
+    result.e2e = {"setup_s": setup_s, "ops_per_s": meter.rate(),
                   "peak_rss_mb": peak_rss_mb()}
-    result.samples = {"latency": len(intervals), "ops_per_s": len(rates),
+    result.samples = {"latency": len(intervals), "ops_per_s": len(meter.blocks),
                       "setup_s": SETUP_REPEATS, "peak_rss_mb": 1}
+    result.notes.append(f"run_many repeats per instance: {runs}")
     result.named = {"decisions_per_s": result.e2e["ops_per_s"],
+                    "decisions_per_s_raw": meter.raw_rate(),
+                    "host_speed": meter.host_speed(),
                     **latency_stats(intervals)}
     return result
