@@ -14,6 +14,7 @@ Calmar, annualised volatility, turnover, hit rate).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
@@ -97,12 +98,21 @@ def annualized_volatility(
 
 
 def calmar_ratio(values: Sequence[float], period_seconds: int) -> float:
-    """Annualised return over maximum drawdown."""
+    """Annualised return over maximum drawdown.
+
+    The annualised return ``(p_f / p_0) ** (1 / years) - 1`` is computed
+    in log space: on a short series ``1 / years`` is huge, and a growth
+    rate past the float range is an explicit ``inf`` rather than an
+    overflowing power.
+    """
     v = _values_array(values)
     years = (v.size - 1) * period_seconds / SECONDS_PER_YEAR
     if years <= 0:
         return 0.0
-    annual_return = (v[-1] / v[0]) ** (1.0 / years) - 1.0
+    try:
+        annual_return = math.expm1(math.log(v[-1] / v[0]) / years)
+    except OverflowError:
+        annual_return = float("inf")
     mdd = max_drawdown(values)
     if mdd == 0.0:
         return float("inf") if annual_return > 0 else 0.0

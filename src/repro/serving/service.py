@@ -12,11 +12,12 @@ against stateless strategies collapse into one batched network forward
 lockstep mode, which is what keeps served trajectories bit-comparable
 with ``run_backtest``.
 
-Checkpointing persists every session (market panel, cursor, weights)
-plus the network state dicts of learned strategies through
-:mod:`repro.utils.serialization` (every file atomic, the manifest
-written last as the commit point), so a service can be stopped and
-resumed with identical subsequent decisions.
+Checkpointing writes the service into a
+:class:`~repro.serving.SessionStateStore` directory — markets, one
+weights blob per shared agent, and one record per session (cursor,
+weights, guardrail book) — the same format the supervised tier writes
+through, so a service can be stopped and resumed with identical
+subsequent decisions.
 
 Resilience (PR 7): an optional :class:`ServingResilience` config arms a
 per-session circuit breaker — a session whose strategy keeps failing is
@@ -44,7 +45,7 @@ import numpy as np
 from ..agents.base import Agent, concat_states
 from ..autograd import no_grad
 from ..obs import get_obs
-from ..data.market import MarketData, market_from_state, market_to_state
+from ..data.market import MarketData
 from ..envs.costs import (
     DEFAULT_COMMISSION,
     drifted_weights,
@@ -60,12 +61,9 @@ from ..utils.serialization import (
     PathLike,
     decode_tagged,
     encode_tagged,
-    load_json,
-    load_state_dict,
     register_tagged_type,
-    save_json,
-    save_state_dict,
 )
+from .store import CheckpointCorrupt, SessionStateStore
 
 __all__ = [
     "BatcherStats",
@@ -86,12 +84,6 @@ __all__ = [
 class InvalidStrategyOutput(ValueError):
     """A strategy produced invalid weights (a server-side fault, not a
     bad request — the HTTP layer maps it to a 500)."""
-
-
-class CheckpointCorrupt(RuntimeError):
-    """A checkpoint file failed to load — truncated, tampered, or
-    missing.  The message names the offending file so operators know
-    what to restore."""
 
 
 class QueueFull(RuntimeError):
@@ -136,9 +128,6 @@ class ServingResilience:
 register_tagged_type(ObservationConfig)
 register_tagged_type(LIFParameters)
 
-_encode_value = encode_tagged
-_decode_value = decode_tagged
-
 
 def decode_params(params: Any) -> Any:
     """Decode a JSON params payload, resolving tagged config objects
@@ -154,44 +143,11 @@ def _canonical_key(strategy: str, params: Dict[str, Any]) -> Optional[str]:
     the params are not encodable."""
     try:
         return json.dumps(
-            {"strategy": strategy, "params": _encode_value(params)},
+            {"strategy": strategy, "params": encode_tagged(params)},
             sort_keys=True,
         )
     except TypeError:
         return None
-
-
-# Panel (de)serialisation is shared with the artifact store.
-_market_to_state = market_to_state
-_market_from_state = market_from_state
-
-
-def _read_checkpoint_file(path: Path, loader, referenced: bool = False):
-    """Load one checkpoint file, turning damage into a structured error.
-
-    Truncated/corrupt bytes (a torn npz, half a JSON manifest) raise
-    :class:`CheckpointCorrupt` naming the file.  ``referenced=True``
-    marks files the manifest points at — for those, *missing* is also
-    corruption (the commit mark exists but its contents do not), while
-    a missing manifest itself stays ``FileNotFoundError``.
-    """
-    try:
-        return loader(path)
-    except FileNotFoundError:
-        if referenced:
-            raise CheckpointCorrupt(
-                f"checkpoint file {path} is referenced by the manifest "
-                "but missing"
-            ) from None
-        raise
-    except Exception as exc:
-        # np.load raises zipfile.BadZipFile/ValueError/EOFError on torn
-        # archives and json raises JSONDecodeError on torn text; the
-        # loader does nothing but read, so anything it throws is a
-        # damaged file.
-        raise CheckpointCorrupt(
-            f"checkpoint file {path} is corrupt: {type(exc).__name__}: {exc}"
-        ) from exc
 
 
 # ----------------------------------------------------------------------
@@ -734,6 +690,11 @@ class PortfolioService:
         with self._lock:
             return tuple(sorted(self._sessions))
 
+    def has_session(self, session_id: str) -> bool:
+        """O(1) membership test (``session_ids`` sorts every id)."""
+        with self._lock:
+            return session_id in self._sessions
+
     def describe_session(self, session_id: str) -> SessionInfo:
         with self._lock:
             return self._info(self._session(session_id))
@@ -1225,120 +1186,34 @@ class PortfolioService:
         return weights, risk_info
 
     # -- checkpointing -------------------------------------------------
-    def save_checkpoint(
-        self,
-        path: PathLike,
-        session_ids: Optional[Sequence[str]] = None,
-        shard: Optional[str] = None,
-    ) -> Path:
+    def save_checkpoint(self, path: PathLike) -> Path:
         """Persist markets, sessions, and strategy weights to ``path``.
 
-        ``path`` becomes a directory holding ``manifest.json`` plus one
-        ``.npz`` per market panel and per learned-strategy state dict.
-        Strategy params must be JSON-encodable (the repo's config
-        dataclasses are handled via type tags).
-
-        ``session_ids`` restricts the checkpoint to a subset of
-        sessions; the checkpoint stays self-contained (only the market
-        panels and agents that subset references are written).  With
-        the default ``None`` every session *and* every registered
-        market — including sessionless ones — is persisted, preserving
-        the full-checkpoint behaviour.  ``shard`` is an optional label
-        recorded in the manifest so a multi-worker deployment's
-        per-shard checkpoints say which worker wrote them;
-        :meth:`load_checkpoint` accepts shard checkpoints like any
-        other (the label is informational).
+        ``path`` becomes a :class:`~repro.serving.SessionStateStore`
+        directory — the one on-disk format for serving state, the same
+        one a supervisor's ``state_dir`` holds: ``service.json`` (the
+        commission), one panel per registered market, one weights blob
+        per shared agent, and one record per session (see
+        :mod:`repro.serving.store`).  Strategy params must be
+        JSON-encodable (the repo's config dataclasses are handled via
+        type tags).  Sessions stored in ``path`` that this service no
+        longer holds are removed, so the directory describes exactly
+        this service.
 
         Every file is written atomically (temp file + ``os.replace``)
-        and the manifest lands last, so a crash mid-save leaves either
-        the previous checkpoint or a directory whose stale manifest
-        still references only fully-written files — never a manifest
-        pointing at torn ones.
+        and a session's ``state.json`` lands after its weights, so a
+        crash mid-save never leaves a record pointing at torn weights.
         """
         path = Path(path)
-        path.mkdir(parents=True, exist_ok=True)
+        store = SessionStateStore(path)
         with self._lock:
-            if session_ids is None:
-                sessions = list(self._sessions.values())
-                market_names = sorted(self._markets)
-            else:
-                sessions = [self._session(sid) for sid in session_ids]
-                market_names = sorted({s.market for s in sessions})
-            market_files: Dict[str, str] = {}
-            for i, name in enumerate(market_names):
-                filename = f"market_{i}.npz"
-                save_state_dict(path / filename, _market_to_state(self._markets[name]))
-                market_files[name] = filename
-
-            agent_entries: Dict[str, Dict[str, Any]] = {}
-            agent_keys: Dict[str, str] = {}  # agent_key -> manifest key
-            sessions_payload = []
-            for session in sessions:
-                if session.agent_key not in agent_keys:
-                    manifest_key = f"agent_{len(agent_keys)}"
-                    agent_keys[session.agent_key] = manifest_key
-                    network = getattr(session.agent, "network", None)
-                    weights_file = None
-                    if network is not None and hasattr(network, "state_dict"):
-                        weights_file = f"{manifest_key}.npz"
-                        save_state_dict(path / weights_file, network.state_dict())
-                    agent_entries[manifest_key] = {
-                        "spec": {
-                            "strategy": session.spec["strategy"],
-                            "params": _encode_value(session.spec["params"]),
-                        },
-                        "weights": weights_file,
-                        "shared": session.shared,
-                        # Shared agents must be republished on load under
-                        # the key they were shared by: spec-canonical for
-                        # registry-built agents, the explicit "!"-key for
-                        # prebuilt/artifact agents.  Restoring an
-                        # artifact agent under the spec-canonical key
-                        # would hand its trained weights to later plain
-                        # same-spec sessions (and collapse distinct
-                        # shards with identical constructor params).
-                        "agent_key": session.agent_key if session.shared else None,
-                    }
-                session_payload = {
-                    "session_id": session.session_id,
-                    "agent": agent_keys[session.agent_key],
-                    "market": session.market,
-                    "next_t": session.next_t,
-                    "start": session.start,
-                    "decisions": session.decisions,
-                    "w_prev": [float(w) for w in session.w_prev],
-                    "observation": _encode_value(session.observation),
-                }
-                if session.risk_w_drifted is not None:
-                    # Armed guardrail state (risk-engine services): the
-                    # paper book and its high-water mark round-trip, so
-                    # a restored session resumes mid-lockout rather
-                    # than re-arming fresh.
-                    session_payload["risk"] = {
-                        "value": float(session.risk_value),
-                        "w_drifted": [
-                            float(w) for w in session.risk_w_drifted
-                        ],
-                        "lockout": (
-                            session.lockout.to_json_dict()
-                            if session.lockout is not None
-                            else None
-                        ),
-                    }
-                sessions_payload.append(session_payload)
-            manifest: Dict[str, Any] = {
-                # Version 2 adds the optional per-session "risk" entry
-                # (and, additively, the optional "shard" label);
-                # everything else is the version-1 schema.
-                "version": 2,
-                "commission": self.commission,
-                "markets": market_files,
-                "agents": agent_entries,
-                "sessions": sessions_payload,
-            }
-            if shard is not None:
-                manifest["shard"] = str(shard)
-            save_json(path / "manifest.json", manifest)
+            store.save_service(self.commission)
+            for name, data in self._markets.items():
+                store.save_market(name, data)
+            for session_id in set(store.session_ids()) - set(self._sessions):
+                store.delete_session(session_id)
+            for session_id in self._sessions:
+                store.save_session(self.export_session(session_id))
         if self._injector is not None:
             # Chaos seam: tear checkpoint files per the plan *after* the
             # clean save, emulating post-write disk corruption that
@@ -1356,118 +1231,46 @@ class PortfolioService:
     ) -> "PortfolioService":
         """Rebuild a service whose next decisions match the saved one's.
 
-        Accepts version-1 (pre-risk) and version-2 checkpoints.  Like
-        the execution engine, ``risk`` is a runtime setting passed at
-        load (and so is ``faults``, a chaos plan armed on the restored
-        service); persisted guardrail state (version 2) is restored
-        either way, and version-1 sessions simply arm fresh on their
-        next decision.
+        ``path`` is a :meth:`save_checkpoint` directory or a drained
+        supervisor's ``state_dir``.  Like the execution engine, ``risk``
+        is a runtime setting passed at load (and so is ``faults``, a
+        chaos plan armed on the restored service); persisted guardrail
+        state is restored either way, and sessions saved without it
+        simply arm fresh on their next decision.
 
         A truncated or tampered checkpoint file raises
         :class:`CheckpointCorrupt` naming the offending file (a missing
         *checkpoint* still raises ``FileNotFoundError`` — absent and
         corrupt are different operator problems).
         """
-        path = Path(path)
-        manifest = _read_checkpoint_file(path / "manifest.json", load_json)
-        if manifest.get("version") not in (1, 2):
-            raise ValueError(f"unsupported checkpoint version {manifest.get('version')!r}")
+        store = SessionStateStore(path)
         service = cls(
             registry=registry,
-            commission=manifest["commission"],
+            commission=store.load_service()["commission"],
             risk=risk,
             faults=faults,
         )
-
-        markets: Dict[str, MarketData] = {}
-        for name, filename in manifest["markets"].items():
-            markets[name] = _market_from_state(
-                _read_checkpoint_file(
-                    path / filename, load_state_dict, referenced=True
-                )
-            )
-            service._markets[name] = markets[name]
-
-        agents: Dict[str, Tuple[Agent, Dict[str, Any], bool, str]] = {}
-        for key, entry in manifest["agents"].items():
-            spec = {
-                "strategy": entry["spec"]["strategy"],
-                "params": _decode_value(entry["spec"]["params"]),
-            }
-            agent = service.registry.create(spec["strategy"], **spec["params"])
-            if entry["weights"] is not None:
-                agent.network.load_state_dict(
-                    _read_checkpoint_file(
-                        path / entry["weights"], load_state_dict, referenced=True
-                    )
-                )
-            shared = bool(entry["shared"])
-            # Older checkpoints (no "agent_key") shared under the
-            # spec-canonical key only; keep that as the fallback.
-            shared_key = entry.get("agent_key") or _canonical_key(
-                spec["strategy"], spec["params"]
-            )
-            if shared:
-                service._shared_agents[shared_key] = agent
-            agents[key] = (agent, spec, shared, shared_key)
-
-        for payload in manifest["sessions"]:
-            agent, spec, shared, shared_key = agents[payload["agent"]]
-            panel = markets[payload["market"]]
-            observation = _decode_value(payload["observation"])
-            if not shared:
-                service._private_seq += 1
-            session = _Session(
-                session_id=payload["session_id"],
-                spec=spec,
-                agent=agent,
-                # Stateful agents need per-instance keys, or the next
-                # save would dedup same-spec sessions onto one agent.
-                agent_key=shared_key if shared else f"!private:{service._private_seq}",
-                shared=shared,
-                market=payload["market"],
-                data=panel,
-                observation=observation,
-                next_t=int(payload["next_t"]),
-                start=int(payload["start"]),
-                w_prev=np.asarray(payload["w_prev"], dtype=np.float64),
-                decisions=int(payload["decisions"]),
-            )
-            risk_state = payload.get("risk")
-            if risk_state is not None:
-                session.risk_value = float(risk_state["value"])
-                session.risk_w_drifted = np.asarray(
-                    risk_state["w_drifted"], dtype=np.float64
-                )
-                if risk_state.get("lockout") is not None:
-                    session.lockout = LockoutState.from_json_dict(
-                        risk_state["lockout"]
-                    )
-            if not shared:
-                agent.begin_backtest(panel)
-                # Classical strategies anchor their relatives window at
-                # the first served index; restore that cursor when the
-                # session had already started.
-                if session.decisions > 0 and hasattr(agent, "_start_index"):
-                    agent._start_index = session.start
-            service._sessions[session.session_id] = session
+        for name in store.market_names():
+            service.register_market(name, store.load_market(name))
+        for session_id in store.session_ids():
+            service.import_session(store.load_session(session_id))
         return service
 
     # -- session export/import -----------------------------------------
     def export_session(self, session_id: str) -> Dict[str, Any]:
-        """Portable snapshot of one session — the per-session unit of the
-        checkpoint schema (version 2), detached from the full manifest.
+        """Portable snapshot of one session — the per-session record of
+        the checkpoint format (``sessions/<id>/state.json``).
 
         The payload carries the session's spec (params tag-encoded, so
         the dict round-trips JSON), the *name* of its market panel (not
         the panel itself — panels are shared and persisted separately),
         its cursor/weights/guardrail state, and — for learned
         strategies — the network state dict as numpy arrays (the one
-        non-JSON field; :class:`~repro.serving.SessionStateStore` spills
-        it to an ``.npz`` sidecar).  :meth:`import_session` on any
-        service with the same market registered rebuilds a session whose
-        next decisions are bit-identical — the failover contract the
-        multi-worker supervisor rehydrates through.
+        non-JSON field; :class:`~repro.serving.SessionStateStore` writes
+        it once per agent to an ``.npz`` file).  :meth:`import_session`
+        on any service with the same market registered rebuilds a
+        session whose next decisions are bit-identical — the failover
+        contract the multi-worker supervisor rehydrates through.
         """
         with self._lock:
             session = self._session(session_id)
@@ -1476,7 +1279,7 @@ class PortfolioService:
                 "start": session.start,
                 "decisions": session.decisions,
                 "w_prev": [float(w) for w in session.w_prev],
-                "observation": _encode_value(session.observation),
+                "observation": encode_tagged(session.observation),
                 # Denormalised so a store can describe evicted sessions
                 # without loading their (large) market panel.
                 "n_assets": session.data.n_assets,
@@ -1501,7 +1304,7 @@ class PortfolioService:
                 "session_id": session.session_id,
                 "spec": {
                     "strategy": session.spec["strategy"],
-                    "params": _encode_value(session.spec["params"]),
+                    "params": encode_tagged(session.spec["params"]),
                 },
                 "market": session.market,
                 "shared": session.shared,
@@ -1516,9 +1319,8 @@ class PortfolioService:
         """Recreate a session from an :meth:`export_session` payload.
 
         The payload's market must already be registered under the same
-        name (or be supplied via ``data=``, which registers it).  Agent
-        resolution mirrors :meth:`load_checkpoint`: a shared agent
-        republishes under the key it was shared by — so two sessions
+        name (or be supplied via ``data=``, which registers it).  A
+        shared agent republishes under the key it was shared by — so two sessions
         imported with the same spec land on one instance and keep
         micro-batching into single forwards — while stateful agents are
         rebuilt private, re-anchored at the session's first served
@@ -1531,7 +1333,7 @@ class PortfolioService:
             )
         spec = {
             "strategy": payload["spec"]["strategy"],
-            "params": _decode_value(payload["spec"]["params"]),
+            "params": decode_tagged(payload["spec"]["params"]),
         }
         state = payload["state"]
         with self._lock:
@@ -1574,7 +1376,7 @@ class PortfolioService:
                 shared=shared,
                 market=market_name,
                 data=panel,
-                observation=_decode_value(state["observation"]),
+                observation=decode_tagged(state["observation"]),
                 next_t=int(state["next_t"]),
                 start=int(state["start"]),
                 w_prev=np.asarray(state["w_prev"], dtype=np.float64),

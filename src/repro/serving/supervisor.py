@@ -14,13 +14,13 @@ Robustness model
 ----------------
 *Write-through persistence.*  After every committed batch the worker
 writes each touched session's :meth:`~repro.serving.PortfolioService.export_session`
-payload to a :class:`~repro.serving.SessionStateStore` (atomic JSON +
-npz).  A worker crash therefore loses **at most the round in flight** —
-and not even that, observably: the round never committed anywhere, and
-the supervisor replays it against a restarted worker, which rehydrates
-each session lazily from the store and recomputes the identical
-decisions.  Sessions on the crashed worker that were *not* in flight
-lose nothing at all.
+payload to a :class:`~repro.serving.SessionStateStore` (an atomic JSON
+record; weights land once per agent).  A worker crash therefore loses
+**at most the round in flight** — and not even that, observably: the
+round never committed anywhere, and the supervisor replays it against a
+restarted worker, which rehydrates each session lazily from the store
+and recomputes the identical decisions.  Sessions on the crashed worker
+that were *not* in flight lose nothing at all.
 
 *Crash detection.*  Two paths: the dispatch path sees the broken pipe
 the moment a send/recv fails, and a heartbeat monitor thread polls
@@ -33,9 +33,13 @@ replay.
 
 *Graceful drain.*  :meth:`drain` stops admission (new work gets a
 structured :class:`Draining` → HTTP 503), waits for in-flight batches
-to flush, then asks each worker to checkpoint every resident session
-(write-through store + a shard-labelled ``save_checkpoint``) and exit
-with code 0.
+to flush, then asks each worker to write every resident session
+through to the store and exit with code 0.  The store is the one
+on-disk format for serving state — the supervisor writes its
+``service.json`` when it opens it — so a drained ``state_dir`` both
+resumes a restarted supervisor and loads directly with
+:meth:`~repro.serving.PortfolioService.load_checkpoint` (or
+``serve --checkpoint``).
 
 *Load shedding.*  ``max_pending`` bounds the front's in-flight request
 count: past it, a request is shed with :class:`LoadShed` (a
@@ -64,7 +68,6 @@ import threading
 import time
 import weakref
 from dataclasses import asdict, dataclass, replace
-from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..envs.costs import DEFAULT_COMMISSION
@@ -211,7 +214,7 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
 
     def ensure_resident(session_id: str) -> None:
         nonlocal rehydrated
-        if session_id in service.session_ids():
+        if service.has_session(session_id):
             store.touch(session_id)
             return
         if not store.has_session(session_id):
@@ -286,34 +289,11 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
                     "rehydrated": rehydrated,
                     "evicted": evicted_count,
                 }
-            elif command == "checkpoint":
-                for session_id in service.session_ids():
-                    persist(session_id)
-                reply = len(service.session_ids())
             elif command == "drain":
                 session_ids = service.session_ids()
                 for session_id in session_ids:
                     persist(session_id)
-                shard_path = None
-                if session_ids:
-                    shard_dir = (
-                        Path(config.state_dir)
-                        / "shards"
-                        / f"worker_{config.index}"
-                    )
-                    shard_path = str(
-                        service.save_checkpoint(
-                            shard_dir,
-                            session_ids=session_ids,
-                            shard=f"worker-{config.index}",
-                        )
-                    )
-                conn.send(
-                    ("ok", {
-                        "checkpointed": len(session_ids),
-                        "shard_checkpoint": shard_path,
-                    })
-                )
+                conn.send(("ok", len(session_ids)))
                 return  # normal return → exit code 0, the drain contract
             else:
                 raise ValueError(f"unknown worker command {command!r}")
@@ -460,6 +440,7 @@ class ServingSupervisor:
         injector = injector_from(faults)
         self._fault_plan = injector.plan if injector is not None else None
         self.store = SessionStateStore(state_dir)
+        self.store.save_service(commission)
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
         self.max_pending = max_pending
         self.worker_timeout = worker_timeout
@@ -1031,14 +1012,13 @@ class ServingSupervisor:
                 entry: Dict[str, Any] = {
                     "worker": worker.index,
                     "checkpointed": 0,
-                    "shard_checkpoint": None,
                     "exit_code": None,
                 }
                 if worker.alive:
                     try:
-                        payload = worker.request(("drain",), timeout=60.0)
-                        entry["checkpointed"] = payload["checkpointed"]
-                        entry["shard_checkpoint"] = payload["shard_checkpoint"]
+                        entry["checkpointed"] = worker.request(
+                            ("drain",), timeout=60.0
+                        )
                     except WorkerDied:
                         pass  # its committed state is already in the store
                 if worker.process is not None:

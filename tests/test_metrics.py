@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data.regimes import SECONDS_PER_YEAR
 from repro.metrics import (
     annualized_volatility,
     calmar_ratio,
@@ -88,6 +89,19 @@ class TestOtherMetrics:
 
     def test_calmar_no_drawdown(self):
         assert calmar_ratio([1.0, 1.1, 1.2], 86400) == float("inf")
+
+    def test_calmar_short_series_without_overflow(self):
+        # Two 30-minute periods annualise with an exponent of ~8760:
+        # the gain is an explicit inf, the loss a -100% annual return,
+        # and neither path warns (tier-1 turns RuntimeWarning into errors).
+        assert calmar_ratio([1.0, 1.5, 1.2], 1800) == float("inf")
+        assert calmar_ratio([1.0, 0.5, 0.8], 1800) == pytest.approx(-1.0 / 0.5)
+
+    def test_calmar_matches_power_form(self):
+        values = [1.0, 1.02, 0.97, 1.05]
+        years = 3 * 86400 / SECONDS_PER_YEAR
+        expected = (1.05 ** (1.0 / years) - 1.0) / max_drawdown(values)
+        assert calmar_ratio(values, 86400) == pytest.approx(expected, rel=1e-12)
 
     def test_turnover(self):
         w = np.array([[0.5, 0.5], [0.0, 1.0], [0.0, 1.0]])

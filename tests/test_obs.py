@@ -6,6 +6,7 @@ instrumentation (micro-batcher thread, 2-worker supervisor), the
 
 import json
 import threading
+import time
 import urllib.request
 
 import numpy as np
@@ -512,10 +513,17 @@ class TestHTTPFront:
         server, base = http_server
         with pytest.raises(urllib.error.HTTPError):
             _get(base, "/sessions/abc123")
-        snap = server.obs.metrics.snapshot()
-        assert any(
-            'route="/sessions/*"' in key for key in snap["counters"]
-        )
+
+        def collapsed():
+            snap = server.obs.metrics.snapshot()
+            return any('route="/sessions/*"' in key for key in snap["counters"])
+
+        # The handler counts the request after the response is on the
+        # wire, so the client can get here first; wait (bounded) for it.
+        deadline = time.monotonic() + 5.0
+        while not collapsed() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert collapsed()
 
     def test_log_message_routed_to_event_log(self, http_server):
         server, base = http_server

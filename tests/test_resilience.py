@@ -12,6 +12,7 @@ The suite leans on two invariants:
 """
 
 import json
+import shutil
 import threading
 import urllib.request
 
@@ -26,6 +27,7 @@ from repro.data import (
     PoloniexTransientError,
     validate_panel,
 )
+from repro.envs import ObservationConfig
 from repro.experiments import (
     ArtifactCorrupt,
     ArtifactStore,
@@ -589,7 +591,35 @@ class TestServingChaos:
         with pytest.raises(CheckpointCorrupt) as info:
             PortfolioService.load_checkpoint(path)
         assert "corrupt" in str(info.value)
-        assert any(name in str(info.value) for name in ("manifest.json", ".npz"))
+        assert "service.json" in str(info.value)
+
+        # The seam walks the whole tree, keyed on relative paths.
+        clean = make_resilient_service(panel)
+        clean.create_session("n", strategy="sdp", market="m", params={
+            "observation": ObservationConfig(window=6, stride=1,
+                                             momentum_horizons=(1, 3, 6)),
+            "hidden_sizes": (8,), "timesteps": 2,
+        })
+        clean.rebalance("n")
+        path = clean.save_checkpoint(tmp_path / "clean")
+        [blob] = (path / "agents").glob("*.npz")
+        targets = [
+            "sessions/a/state.json",
+            f"agents/{blob.name}",
+            "markets/m.npz",
+        ]
+        shutil.copytree(path, tmp_path / "torn_all")
+        torn = FaultInjector(plan).corrupt_checkpoint(tmp_path / "torn_all")
+        assert set(targets) | {"service.json"} <= set(torn)
+        # Each kind of file, torn alone, raises naming that file.
+        for i, target in enumerate(targets):
+            copy = tmp_path / f"torn{i}"
+            shutil.copytree(path, copy)
+            data = (copy / target).read_bytes()
+            (copy / target).write_bytes(data[: len(data) // 2])
+            with pytest.raises(CheckpointCorrupt) as info:
+                PortfolioService.load_checkpoint(copy)
+            assert target in str(info.value)
 
     def test_clean_checkpoint_round_trips(self, panel, tmp_path):
         service = make_resilient_service(panel)
@@ -603,6 +633,7 @@ class TestServingChaos:
     def test_missing_checkpoint_still_file_not_found(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             PortfolioService.load_checkpoint(tmp_path / "nope")
+        assert not (tmp_path / "nope").exists()  # loading never writes
 
 
 class TestBackpressure:

@@ -635,9 +635,10 @@ class TestServingIntegration:
         for _ in range(5):
             service.rebalance_many(requests)
         path = service.save_checkpoint(tmp_path / "ckpt")
-        manifest = json.loads((path / "manifest.json").read_text())
-        assert manifest["version"] == 2
-        assert all("risk" in s for s in manifest["sessions"])
+        for sid in ("s0", "s1"):
+            record = json.loads((path / "sessions" / sid / "state.json").read_text())
+            assert record["version"] == 2
+            assert "risk" in record["state"]
 
         restored = PortfolioService.load_checkpoint(path, risk=engine())
         for sid in ("s0", "s1"):
@@ -655,16 +656,17 @@ class TestServingIntegration:
                 assert ra.risk == rb.risk
 
     def test_pre_risk_checkpoint_arms_fresh(self, panel, tmp_path):
-        # A checkpoint saved without a risk engine has no guardrail
-        # entries (the version-1 session schema); loading it under an
-        # engine arms each session lazily on its next decision.
-        plain = self._service(panel)
+        # A session record saved without a risk engine has no guardrail
+        # entry (the version-1 session schema); loading it under an
+        # engine arms the session lazily on its next decision.
+        plain = self._service(panel, sessions=("s0",))
         plain.rebalance("s0")
         path = plain.save_checkpoint(tmp_path / "v1")
-        manifest = json.loads((path / "manifest.json").read_text())
-        assert all("risk" not in s for s in manifest["sessions"])
-        manifest["version"] = 1
-        (path / "manifest.json").write_text(json.dumps(manifest))
+        state_file = path / "sessions" / "s0" / "state.json"
+        record = json.loads(state_file.read_text())
+        assert "risk" not in record["state"]
+        record["version"] = 1
+        state_file.write_text(json.dumps(record))
 
         engine = RiskEngine([PositionCap(0.15)])
         restored = PortfolioService.load_checkpoint(path, risk=engine)
@@ -678,10 +680,11 @@ class TestServingIntegration:
     def test_unknown_checkpoint_version_rejected(self, panel, tmp_path):
         service = self._service(panel, sessions=("s0",))
         path = service.save_checkpoint(tmp_path / "vX")
-        manifest = json.loads((path / "manifest.json").read_text())
-        manifest["version"] = 3
-        (path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError):
+        state_file = path / "sessions" / "s0" / "state.json"
+        record = json.loads(state_file.read_text())
+        record["version"] = 3
+        state_file.write_text(json.dumps(record))
+        with pytest.raises(ValueError, match="unsupported session payload version"):
             PortfolioService.load_checkpoint(path)
 
 

@@ -18,6 +18,7 @@ from repro.serving import (
     MicroBatcher,
     PortfolioService,
     RebalanceRequest,
+    SessionStateStore,
 )
 
 
@@ -493,6 +494,51 @@ class TestCheckpoint:
         service.save_checkpoint(tmp_path / "ckpt")
         restored = PortfolioService.load_checkpoint(tmp_path / "ckpt")
         assert restored._sessions["a"].agent is restored._sessions["b"].agent
+
+    def test_weights_stored_once_per_agent(
+        self, config, market, sdp_params, tmp_path
+    ):
+        # Two sessions sharing one agent write one agent blob; a private
+        # learned agent (prebuilt, no sharing key) keeps its own file.
+        service = make_service(config, market)
+        service.create_session("a", "sdp", params=sdp_params, market="m")
+        service.create_session("b", "sdp", params=sdp_params, market="m")
+        private = registry.create("sdp", n_assets=market.n_assets, **sdp_params)
+        service.create_session(
+            "p", "sdp", params=sdp_params, market="m", agent=private
+        )
+        path = service.save_checkpoint(tmp_path / "ckpt")
+        assert len(list((path / "agents").glob("*.npz"))) == 1
+        assert (path / "sessions" / "p" / "weights.npz").exists()
+        assert not (path / "sessions" / "a" / "weights.npz").exists()
+        assert json.loads((path / "service.json").read_text()) == {
+            "commission": config.commission
+        }
+
+        # The blob is read once per store and handed out read-only.
+        store = SessionStateStore(path)
+        wa = store.load_session("a")["weights"]
+        wb = store.load_session("b")["weights"]
+        assert all(wa[k] is wb[k] for k in wa)
+        assert not any(v.flags.writeable for v in wa.values())
+
+        restored = PortfolioService.load_checkpoint(path)
+        assert restored._sessions["p"].agent is not restored._sessions["a"].agent
+        requests = [RebalanceRequest(s) for s in ("a", "b", "p")]
+        for x, y in zip(
+            service.rebalance_many(requests), restored.rebalance_many(requests)
+        ):
+            assert x.to_json_dict() == y.to_json_dict()
+
+    def test_resave_drops_closed_sessions(self, config, market, tmp_path):
+        service = make_service(config, market)
+        service.create_session("a", "ucrp", market="m")
+        service.create_session("b", "ucrp", market="m")
+        service.save_checkpoint(tmp_path / "ckpt")
+        service.close_session("b")
+        service.save_checkpoint(tmp_path / "ckpt")
+        restored = PortfolioService.load_checkpoint(tmp_path / "ckpt")
+        assert restored.session_ids() == ("a",)
 
     def test_sessionless_markets_survive_checkpoint(
         self, config, market, tmp_path

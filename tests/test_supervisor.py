@@ -254,6 +254,46 @@ class TestDrainAndResume:
             assert json_rounds(resumed, requests, rounds=3) == reference[n:]
 
 
+    def test_drained_state_dir_is_a_checkpoint(self, tmp_path, market, config):
+        """A drained store is the checkpoint format: ``load_checkpoint``
+        restores it and continues bit-identically to an uninterrupted
+        in-process run — shared SDP sessions, a private stateful ONS
+        session, and risk-armed guardrail books."""
+        risk = risk_regime_preset("lockout")
+        sdp = dict(observation=config.observation, hidden_sizes=(16,),
+                   timesteps=2, seed=config.agent_seed)
+        specs = [("a", "sdp", sdp), ("b", "sdp", sdp), ("c", "ons", {})]
+        requests = [RebalanceRequest(sid) for sid, _, _ in specs]
+        sup, name0, _ = make_supervisor(
+            tmp_path, market, workers=1, risk=risk.build_engine()
+        )
+        with sup:
+            for sid, strategy, params in specs:
+                sup.create_session(sid, strategy, params=params, market=name0)
+            supervised = json_rounds(sup, requests, rounds=3)
+            report = sup.drain(timeout=60.0)
+        assert report["sessions_checkpointed"] == 3
+        assert [w["exit_code"] for w in report["workers"]] == [0]
+        state = tmp_path / "state"
+        assert not (state / "shards").exists()
+        assert len(list((state / "agents").glob("*.npz"))) == 1
+
+        restored = PortfolioService.load_checkpoint(
+            state, risk=risk.build_engine()
+        )
+        assert restored.session_ids() == ("a", "b", "c")
+        assert restored._sessions["a"].agent is restored._sessions["b"].agent
+        assert not restored._sessions["c"].shared
+        assert restored._sessions["c"].risk_w_drifted is not None
+        continued = json_rounds(restored, requests, rounds=3)
+
+        service = PortfolioService(risk=risk.build_engine())
+        service.register_market(name0, market)
+        for sid, strategy, params in specs:
+            service.create_session(sid, strategy, params=params, market=name0)
+        assert supervised + continued == json_rounds(service, requests, rounds=6)
+
+
 class TestResidency:
     def test_lru_eviction_rehydrates_bit_identically(
         self, tmp_path, market
