@@ -34,6 +34,9 @@ from __future__ import annotations
 import copy
 import inspect
 import json
+import os
+import shutil
+import tempfile
 import threading
 import time
 from dataclasses import asdict, dataclass, field
@@ -1196,24 +1199,33 @@ class PortfolioService:
         per shared agent, and one record per session (see
         :mod:`repro.serving.store`).  Strategy params must be
         JSON-encodable (the repo's config dataclasses are handled via
-        type tags).  Sessions stored in ``path`` that this service no
-        longer holds are removed, so the directory describes exactly
-        this service.
+        type tags).
 
-        Every file is written atomically (temp file + ``os.replace``)
-        and a session's ``state.json`` lands after its weights, so a
-        crash mid-save never leaves a record pointing at torn weights.
+        The checkpoint is built in a fresh hidden sibling directory and
+        then swapped over ``path``, replacing whatever was there, so it
+        describes exactly this service.  A crash while writing leaves
+        the previous checkpoint untouched; the swap itself is two
+        renames, and if it is cut between them the previous checkpoint
+        waits whole as ``old`` inside the ``.<name>.*`` sibling.
         """
         path = Path(path)
-        store = SessionStateStore(path)
-        with self._lock:
-            store.save_service(self.commission)
-            for name, data in self._markets.items():
-                store.save_market(name, data)
-            for session_id in set(store.session_ids()) - set(self._sessions):
-                store.delete_session(session_id)
-            for session_id in self._sessions:
-                store.save_session(self.export_session(session_id))
+        path.parent.mkdir(parents=True, exist_ok=True)
+        scratch = Path(tempfile.mkdtemp(prefix=f".{path.name}.", dir=path.parent))
+        try:
+            store = SessionStateStore(scratch / "new")
+            with self._lock:
+                store.save_service(self.commission)
+                for name, data in self._markets.items():
+                    store.save_market(name, data)
+                for session_id in self._sessions:
+                    store.save_session(self.export_session(session_id))
+        except BaseException:
+            shutil.rmtree(scratch, ignore_errors=True)
+            raise
+        if path.exists():
+            os.replace(path, scratch / "old")
+        os.replace(scratch / "new", path)
+        shutil.rmtree(scratch, ignore_errors=True)
         if self._injector is not None:
             # Chaos seam: tear checkpoint files per the plan *after* the
             # clean save, emulating post-write disk corruption that

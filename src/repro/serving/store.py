@@ -24,12 +24,18 @@ Layout (all writes atomic, via :mod:`repro.utils.serialization`)::
 ``state.json`` is the commit point for a session write: it lands last
 (after any weights file) via temp-file + ``os.replace``, so a torn write
 leaves the previous state, never half of the new one.  Its ``weights``
-entry names the weights file relative to ``root``.  Serving never
-mutates network weights, so weights are written once — once per shared
-agent, however many sessions serve it — which keeps the per-round write
-to a single small JSON file.  An agent blob never changes after it is
-written, so each store reads it at most once and hands out read-only
-arrays from then on.
+entry names the weights file: ``agents/<sha>.npz`` relative to ``root``
+for a shared agent, anything else relative to the session's directory
+(``weights.npz``, as stores written by earlier versions also name it).
+Serving never mutates network weights, so weights are written once —
+once per shared agent, however many sessions serve it — which keeps the
+per-round write to a single small JSON file.  Write-once is sound
+because an agent key names one set of weights for the life of a store:
+a supervisor's sessions are registry-built, whose shared key is their
+spec, and :meth:`~repro.serving.PortfolioService.save_checkpoint` writes
+every checkpoint into a fresh directory.  An agent blob never changes
+after it is written, so each store reads it at most once and hands out
+read-only arrays from then on.
 
 The store also tracks *residency* (which sessions a worker holds in
 memory) as an LRU: :meth:`touch` bumps a session and :meth:`overflow`
@@ -187,16 +193,18 @@ class SessionStateStore:
             if payload.get("shared") and payload.get("agent_key"):
                 digest = hashlib.sha256(payload["agent_key"].encode()).hexdigest()
                 name = f"agents/{digest}.npz"
+                path = self.root / name
             else:
-                name = f"sessions/{directory.name}/weights.npz"
+                name = "weights.npz"
+                path = directory / name
             record["weights"] = name
-            if not (self.root / name).exists():
-                save_state_dict(self.root / name, weights)
+            if not path.exists():
+                save_state_dict(path, weights)
         save_json(directory / "state.json", record)
 
     def load_session_record(self, session_id: str) -> Dict[str, Any]:
         """The JSON half of a stored session (weights left as the
-        file's root-relative name) — enough to route or describe it."""
+        file's name) — enough to route or describe it."""
         path = self._session_dir(session_id) / "state.json"
         if not path.exists():
             raise KeyError(f"session {session_id!r} is not in the store")
@@ -209,12 +217,12 @@ class SessionStateStore:
         if name is None:
             return record
         if not name.startswith("agents/"):
-            record["weights"] = self._read_weights(name)
+            record["weights"] = self._read_weights(self._session_dir(session_id) / name)
             return record
         with self._lock:
             blob = self._agent_blobs.get(name)
         if blob is None:
-            blob = self._read_weights(name)
+            blob = self._read_weights(self.root / name)
             for array in blob.values():
                 array.setflags(write=False)
             with self._lock:
@@ -222,10 +230,9 @@ class SessionStateStore:
         record["weights"] = dict(blob)
         return record
 
-    def _read_weights(self, name: str) -> Dict[str, Any]:
-        return _read_checkpoint_file(
-            self.root / name, load_state_dict, referenced=True
-        )
+    @staticmethod
+    def _read_weights(path: Path) -> Dict[str, Any]:
+        return _read_checkpoint_file(path, load_state_dict, referenced=True)
 
     def delete_session(self, session_id: str) -> None:
         directory = self._session_dir(session_id)

@@ -530,15 +530,69 @@ class TestCheckpoint:
         ):
             assert x.to_json_dict() == y.to_json_dict()
 
-    def test_resave_drops_closed_sessions(self, config, market, tmp_path):
+    def test_session_dir_weights_still_load(
+        self, config, market, sdp_params, tmp_path
+    ):
+        # Stores written by earlier versions name every session's weights
+        # "weights.npz" in the session's own directory, shared or not.
+        service = make_service(config, market)
+        service.create_session("a", "sdp", params=sdp_params, market="m")
+        path = service.save_checkpoint(tmp_path / "ckpt")
+        (blob,) = (path / "agents").glob("*.npz")
+        blob.rename(path / "sessions" / "a" / "weights.npz")
+        record_path = path / "sessions" / "a" / "state.json"
+        record = json.loads(record_path.read_text())
+        record["weights"] = "weights.npz"
+        record_path.write_text(json.dumps(record))
+
+        restored = PortfolioService.load_checkpoint(path)
+        requests = [RebalanceRequest("a")]
+        assert (
+            service.rebalance_many(requests)[0].to_json_dict()
+            == restored.rebalance_many(requests)[0].to_json_dict()
+        )
+
+    def test_resave_replaces_the_checkpoint(
+        self, config, market, sdp_params, tmp_path
+    ):
+        # Every save writes a fresh directory, so nothing of an earlier
+        # save survives into a later one: not a closed session, not its
+        # inline market, and not the panel or private weights of an id
+        # that was closed and then opened again.
+        def private(seed):
+            return registry.create(
+                "sdp", n_assets=market.n_assets, **{**sdp_params, "seed": seed}
+            )
+
+        flipped = market.permute_assets(list(range(market.n_assets))[::-1])
         service = make_service(config, market)
         service.create_session("a", "ucrp", market="m")
         service.create_session("b", "ucrp", market="m")
+        service.create_session("u", "sdp", params=sdp_params, data=market)
+        service.create_session(
+            "p", "sdp", params=sdp_params, market="m", agent=private(1)
+        )
         service.save_checkpoint(tmp_path / "ckpt")
-        service.close_session("b")
-        service.save_checkpoint(tmp_path / "ckpt")
-        restored = PortfolioService.load_checkpoint(tmp_path / "ckpt")
-        assert restored.session_ids() == ("a",)
+        for session_id in ("b", "u", "p"):
+            service.close_session(session_id)
+        service.create_session("u", "sdp", params=sdp_params, data=flipped)
+        service.create_session(
+            "p", "sdp", params=sdp_params, market="m", agent=private(2)
+        )
+        path = service.save_checkpoint(tmp_path / "ckpt")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt"]
+
+        restored = PortfolioService.load_checkpoint(path)
+        assert restored.session_ids() == ("a", "p", "u")
+        assert restored.market_names() == service.market_names()
+        requests = [RebalanceRequest(s) for s in ("a", "p", "u")]
+        for x, y in zip(
+            service.rebalance_many(requests), restored.rebalance_many(requests)
+        ):
+            assert x.to_json_dict() == y.to_json_dict()
+        # The closed inline market is gone, so its id opens again.
+        restored.close_session("u")
+        restored.create_session("u", "ucrp", data=market)
 
     def test_sessionless_markets_survive_checkpoint(
         self, config, market, tmp_path
