@@ -1,4 +1,4 @@
-"""DESIGN.md §6 ablation — weight-shared vs monolithic SDP.
+"""Architecture ablation — weight-shared vs monolithic SDP.
 
 The reproduction's default SDP shares one spiking scorer across assets;
 the paper's Algorithm 1 drawing is a monolithic network over the flat

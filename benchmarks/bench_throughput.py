@@ -62,7 +62,7 @@ from typing import Callable, Dict, List
 
 import numpy as np
 
-from repro.agents import MultiSeedTrainer, PolicyTrainer, SDPAgent, TrainConfig
+from repro.agents import PolicyTrainer, SDPAgent, TrainConfig
 from repro.autograd import enable_grad
 from repro.autograd.optim import SGD
 from repro.data import MarketGenerator
@@ -349,129 +349,6 @@ def bench_training(panel, n_steps: int) -> Dict:
         "weights_bit_identical": bool(identical),
         "speedup_fused_vs_seed": round(seed_s / fused_s, 2),
         "speedup_fused_vs_graph": round(graph_s / fused_s, 2),
-    }
-
-
-MULTISEED_COUNTS = (1, 4, 10)
-FAST_WEIGHT_TOLERANCE = 1e-6  # documented float32 drift bound at 200 steps
-
-
-def bench_training_multiseed(panel, n_steps: int) -> Dict:
-    """Seed-steps/sec of the stacked multi-seed tape vs serial runs.
-
-    The serial baseline is S independent fused ``PolicyTrainer`` runs
-    (seeds 0..S-1) — exactly what a seed sweep executes shard by shard.
-    The reference-backend ``MultiSeedTrainer`` must end every seed with
-    weights and PVM contents bit-identical to its serial twin; that is
-    the ``--check`` parity gate.  The fast (float32) tier is reported
-    for its throughput and measured weight deviation only — it never
-    participates in any parity gate.
-
-    Speedups are honest single-core numbers: with the per-step Python
-    dispatch already amortised by the fused serial path, stacking buys
-    back the remaining per-seed overhead (sampler/permutation/launch
-    costs and GEMM batching) but cannot beat the serial path's raw
-    ufunc arithmetic, which dominates once S is large.
-    """
-    n_assets = panel.n_assets
-    s_max = max(MULTISEED_COUNTS)
-    config = TrainConfig(
-        steps=n_steps, batch_size=TRAIN_BATCH, permute_assets=True
-    )
-
-    def make_agent(seed: int) -> SDPAgent:
-        params = dict(TRAIN_AGENT_PARAMS, seed=seed)
-        return SDPAgent(n_assets, observation=OBSERVATION, **params)
-
-    # Serial baseline: S independent fused runs, per-seed agent init
-    # and trainer streams — the sweep engine's per-shard behaviour.
-    serial_states, serial_pvms = [], []
-    t0 = time.perf_counter()
-    for seed in range(s_max):
-        agent = make_agent(seed)
-        trainer = PolicyTrainer(
-            agent,
-            panel,
-            SGD(agent.parameters(), TRAIN_LR),
-            observation=OBSERVATION,
-            config=config,
-            seed=seed,
-            use_fused=True,
-        )
-        for _ in range(n_steps):
-            trainer.train_step()
-        serial_states.append(agent.network.state_dict())
-        serial_pvms.append(trainer.pvm.snapshot())
-    serial_s = time.perf_counter() - t0
-
-    def run_multiseed(n_seeds: int, backend):
-        agents = [make_agent(seed) for seed in range(n_seeds)]
-        trainer = MultiSeedTrainer(
-            agents,
-            panel,
-            [SGD(agent.parameters(), TRAIN_LR) for agent in agents],
-            observation=OBSERVATION,
-            config=config,
-            seeds=list(range(n_seeds)),
-            backend=backend,
-        )
-        t0 = time.perf_counter()
-        trainer.train(n_steps)
-        return agents, trainer, time.perf_counter() - t0
-
-    def stats(name: str, n_seeds: int, seconds: float) -> Dict:
-        # Pro-rata serial cost for the same S seeds.
-        serial_equiv = serial_s * n_seeds / s_max
-        return {
-            "name": name,
-            "seeds": n_seeds,
-            "train_steps": n_steps,
-            "seconds": round(seconds, 4),
-            "seed_steps_per_sec": round(n_seeds * n_steps / seconds, 1),
-            "speedup_vs_serial": round(serial_equiv / seconds, 2),
-        }
-
-    serial_path = stats("training_serial_fused", s_max, serial_s)
-    paths = [serial_path]
-    identical = True
-    for n_seeds in MULTISEED_COUNTS:
-        agents, trainer, seconds = run_multiseed(n_seeds, None)
-        paths.append(stats(f"training_multiseed_s{n_seeds}", n_seeds, seconds))
-        for s, agent in enumerate(agents):
-            w = agent.network.state_dict()
-            identical = identical and all(
-                np.array_equal(w[k], serial_states[s][k]) for k in w
-            )
-            identical = identical and np.array_equal(
-                trainer.pvms[s].snapshot(), serial_pvms[s]
-            )
-
-    # Fast tier: float32 tapes + float32 GEMM banks, S = s_max.
-    fast_agents, _, fast_seconds = run_multiseed(s_max, "fast")
-    max_dev = 0.0
-    for s, agent in enumerate(fast_agents):
-        w = agent.network.state_dict()
-        for k in w:
-            dev = float(np.max(np.abs(w[k] - serial_states[s][k])))
-            max_dev = max(max_dev, dev)
-    fast_path = stats(f"training_multiseed_fast_s{s_max}", s_max, fast_seconds)
-
-    return {
-        "batch_size": TRAIN_BATCH,
-        "network": f"SharedSDP {TRAIN_AGENT_PARAMS['hidden_sizes']}, T=5",
-        "panel_periods": panel.n_periods,
-        "optimizer": f"SGD lr={TRAIN_LR}",
-        "seed_counts": list(MULTISEED_COUNTS),
-        "paths": paths,
-        "weights_bit_identical": bool(identical),
-        "speedup_reference_max_seeds": paths[-1]["speedup_vs_serial"],
-        "backend": {
-            "paths": [fast_path],
-            "max_abs_weight_deviation": max_dev,
-            "tolerance": FAST_WEIGHT_TOLERANCE,
-            "within_tolerance": bool(max_dev <= FAST_WEIGHT_TOLERANCE),
-            "in_parity_gate": False,  # float32 never gates parity
-        },
     }
 
 
@@ -1173,7 +1050,6 @@ def main(argv=None) -> int:
     load = bench_load(args.assets, args.sessions, args.rounds)
     train_panel = make_training_panel(args.assets)
     training = bench_training(train_panel, args.train_steps)
-    multiseed = bench_training_multiseed(train_panel, args.train_steps)
 
     report = {
         "bench": "throughput",
@@ -1192,7 +1068,6 @@ def main(argv=None) -> int:
         "observability": observability,
         "load": load,
         "training": training,
-        "training_multiseed": multiseed,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
 
@@ -1238,21 +1113,6 @@ def main(argv=None) -> int:
         f"bit-identical weights+PVM after {args.train_steps} steps: "
         f"{training['weights_bit_identical']}"
     )
-    for path in multiseed["paths"] + multiseed["backend"]["paths"]:
-        print(
-            f"{path['name']:32s} {path['seed_steps_per_sec']:>9.1f} seed-steps/s  "
-            f"S={path['seeds']:<3d} {path['speedup_vs_serial']}x vs serial"
-        )
-    ms_backend = multiseed["backend"]
-    print(
-        f"multiseed training (reference, S={max(MULTISEED_COUNTS)}): "
-        f"{multiseed['speedup_reference_max_seeds']}x vs serial; "
-        f"per-seed weights+PVM bit-identical: "
-        f"{multiseed['weights_bit_identical']}; fast tier "
-        f"{ms_backend['paths'][0]['speedup_vs_serial']}x, max weight dev "
-        f"{ms_backend['max_abs_weight_deviation']:.2e} "
-        f"(tol {ms_backend['tolerance']:.0e}, excluded from parity gate)"
-    )
     chaos = load["chaos"]
     print(
         f"load ramp: {load['ramp']['creates_per_sec']} creates/s; "
@@ -1290,14 +1150,10 @@ def main(argv=None) -> int:
     print(f"wrote {args.out}")
 
     if args.check:
-        # The multiseed gate covers the reference backend only: the
-        # float32 tier is benchmarked above but must never stand in
-        # for the bit-identical float64 path in any parity check.
         ok = (
             backtest["weights_bit_identical"]
             and serving["weights_bit_identical"]
             and training["weights_bit_identical"]
-            and multiseed["weights_bit_identical"]
             and execution["zero_bit_identical"]
             and risk["none_bit_identical"]
         )

@@ -254,7 +254,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     runner = SweepRunner(
         spec, args.store, max_workers=args.workers,
         retry=retry, fault_plan=fault_plan,
-        vectorize_seeds=args.vectorize_seeds, backend=args.backend,
         obs_dir=args.obs_dir, obs_level=args.obs_level,
     )
     result = runner.run(
@@ -509,18 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--retry-base-delay", type=float, default=None,
         help="backoff before the first per-shard retry, seconds",
-    )
-    p_sweep.add_argument(
-        "--vectorize-seeds", action="store_true",
-        help="train same-config seed shards as one stacked multi-seed "
-        "run (bit-identical per-shard artifacts on the reference "
-        "backend); resume works with or without the flag",
-    )
-    p_sweep.add_argument(
-        "--backend", default=None, choices=("reference", "fast"),
-        help="numeric backend for vectorized groups (default: "
-        "reference, the bit-identical float64 tier; fast = float32 "
-        "tapes, tolerance-level deviations)",
     )
     _add_obs(p_sweep)
     p_sweep.set_defaults(func=_cmd_sweep)

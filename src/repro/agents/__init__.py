@@ -7,7 +7,6 @@ Both agents share the deterministic policy-gradient trainer
 
 from .base import Agent, BacktestResult, concat_states, run_backtest
 from .jiang import EIIENetwork, JiangDRLAgent
-from .multiseed import MultiSeedTrainer
 from .sdp import SDPAgent
 from .trainer import PolicyTrainer, TrainConfig, TrainHistory
 
@@ -16,7 +15,6 @@ __all__ = [
     "BacktestResult",
     "EIIENetwork",
     "JiangDRLAgent",
-    "MultiSeedTrainer",
     "PolicyTrainer",
     "SDPAgent",
     "TrainConfig",

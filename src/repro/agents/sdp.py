@@ -7,7 +7,8 @@ Two architectures are provided:
   one population-coded spiking scorer applied to every asset with
   shared weights, plus a learned cash bias.  Algorithm 1's dynamics and
   STBP training are unchanged; the sharing is what makes the policy
-  sample-efficient enough to train at reproduction scale (DESIGN.md §6).
+  sample-efficient enough to train at reproduction scale (every asset's
+  gradient updates the same weights).
 * ``"monolithic"`` — :class:`~repro.snn.network.SDPNetwork`: the
   verbatim Algorithm 1 network over the full flat state.  Kept for the
   architecture ablation bench and the paper-exact Table 2 configuration.

@@ -1,8 +1,8 @@
 """Market-data substrate: synthetic crypto market + simulated exchange.
 
-Substitutes the paper's Poloniex 2016–2021 dataset (see DESIGN.md §2)
-with a deterministic regime-switching jump-diffusion market and an
-offline Poloniex-compatible API.
+Substitutes the paper's Poloniex 2016–2021 dataset, which needs the live
+exchange API, with a deterministic regime-switching jump-diffusion
+market and an offline Poloniex-compatible API.
 """
 
 from .generator import (

@@ -197,72 +197,3 @@ def fused_training_loss(
     g_a_mu = -(g_diff * np.sign(diff_raw))
     grad_actions = g_a_growth + g_a_mu
     return loss, reward, grad_actions
-
-
-def fused_training_loss_banked(
-    actions: np.ndarray,
-    w_drifted: np.ndarray,
-    y_next: np.ndarray,
-    n_seeds: int,
-    commission: float = DEFAULT_COMMISSION,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`fused_training_loss` over a seed-stacked ``(S·B, …)`` batch.
-
-    Every row of the objective and its gradient depends only on that
-    row plus the scalar ``1/B`` (the *per-seed* batch size, identical
-    across seeds), so the gradient is computed once over the whole
-    stack with the same arithmetic as the serial kernel — bit-identical
-    per row.  The scalar loss/reward reductions run per seed over
-    contiguous row slices (numpy's pairwise summation over the same
-    values in the same order as a serial call), so they too match the
-    serial trainer exactly.
-
-    Returns ``(losses, rewards, grad_actions)`` where ``losses`` and
-    ``rewards`` are ``(S,)`` float64 arrays (seed-blocked row order) and
-    ``grad_actions`` is the stacked ``(S·B, n_assets+1)`` gradient.
-    """
-    a = np.asarray(actions, dtype=np.float64)
-    w_prime = np.asarray(w_drifted, dtype=np.float64)
-    y = np.asarray(y_next, dtype=np.float64)
-    if a.ndim != 2 or a.shape != w_prime.shape or a.shape != y.shape:
-        raise ValueError(
-            f"expected matching (S·batch, n_assets+1) arrays, got "
-            f"{a.shape}, {w_prime.shape}, {y.shape}"
-        )
-    if n_seeds <= 0 or a.shape[0] % n_seeds:
-        raise ValueError(
-            f"stacked batch of {a.shape[0]} rows does not split into "
-            f"{n_seeds} equal per-seed batches"
-        )
-    batch = a.shape[0] // n_seeds
-
-    # -- forward (rows are seed-independent; reductions per seed) ------
-    diff_raw = w_prime - a
-    diff = np.abs(diff_raw)
-    turnover = diff[:, 1:].sum(axis=1)
-    mu_raw = 1.0 - turnover * commission
-    mu = np.clip(mu_raw, _MU_CLIP_LOW, _MU_CLIP_HIGH)
-    growth = (a * y).sum(axis=1)
-    portfolio = mu * growth
-    log_return = np.log(portfolio)
-    # Per-seed reductions over the contiguous (S, B) rows: summing the
-    # last axis reduces each seed's B values with the same pairwise
-    # order as the serial 1-D sum — bit-identical loss/reward scalars.
-    log_return_2d = log_return.reshape(n_seeds, batch)
-    losses = -(log_return_2d.sum(axis=1) * (1.0 / batch))
-    rewards = log_return_2d.mean(axis=1)
-
-    # -- backward (scalar 1/B is per-seed B: identical for every row) --
-    g_log = (-1.0 * (1.0 / batch)) / portfolio
-    g_mu = g_log * growth
-    g_growth = g_log * mu
-    g_a_growth = np.broadcast_to(g_growth[:, None], a.shape) * y
-    clip_mask = (mu_raw >= _MU_CLIP_LOW) & (mu_raw <= _MU_CLIP_HIGH)
-    g_turnover = -(g_mu * clip_mask) * commission
-    g_diff = np.zeros_like(diff)
-    g_diff[:, 1:] = np.broadcast_to(
-        g_turnover[:, None], (a.shape[0], a.shape[1] - 1)
-    )
-    g_a_mu = -(g_diff * np.sign(diff_raw))
-    grad_actions = g_a_growth + g_a_mu
-    return losses, rewards, grad_actions

@@ -82,12 +82,11 @@ class GeometricBatchSampler:
     ) -> "GeometricBatchSampler":
         """A sampler whose index stream is a pure function of ``seed``.
 
-        This is the per-seed stream constructor the multi-seed trainer
-        and the serial :class:`~repro.agents.trainer.PolicyTrainer`
-        share: both build the stream as ``make_rng(seed)``, so a seed's
-        draw sequence is identical whether it trains alone or stacked
-        with other seeds — the shard spec's seed alone determines the
-        stream, with no dependence on which seeds ride along.
+        :class:`~repro.agents.trainer.PolicyTrainer` builds its stream
+        here as ``make_rng(seed)``, so a seed's draw sequence is the
+        same in-process or in a pool worker — the shard spec's seed
+        alone determines the stream, with no dependence on which other
+        seeds run or in what order.
         """
         return cls(
             first_index,

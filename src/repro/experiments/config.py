@@ -125,7 +125,7 @@ def make_config(experiment: int, profile: str = "standard", **overrides) -> Expe
     params.update(overrides)
     # Table 2's a1=9.0 is used verbatim by the paper profile; the
     # scaled profiles use a softer amplifier, which trains more stably
-    # with Adam at their learning rates (see DESIGN.md §6).
+    # with Adam at their learning rates.
     params.setdefault(
         "surrogate_amplifier", PAPER_HYPERPARAMETERS["surrogate_amplifier"]
     )

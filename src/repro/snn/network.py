@@ -190,7 +190,7 @@ class SharedSDPConfig:
     Algorithm 1 applied per asset — the spiking dynamics, STBP training,
     and Loihi mapping are identical — but the weight sharing gives the
     gradient 11× the signal per parameter, which is what makes the
-    policy trainable at reproduction scale (see DESIGN.md §6).
+    policy trainable at reproduction scale.
     """
 
     feature_dim: int
