@@ -31,8 +31,14 @@ to its own codes — a full admission queue
 (:class:`~repro.serving.QueueFull`) or a priority-shed request
 (:class:`~repro.serving.LoadShed`) is a 429, a queue-deadline expiry
 (:class:`~repro.serving.DeadlineExceeded`) a 504, and a draining
-supervisor (:class:`~repro.serving.Draining`) a 503.  Start one with
+supervisor (:class:`~repro.serving.Draining`) a 503.  A request whose
+``Content-Length`` is not a non-negative integer gets a 400 and the
+connection is closed, since its body cannot be framed.  Start one with
 :func:`serve` (see ``examples/serving_demo.py``).
+
+Every response goes out in one send on a ``TCP_NODELAY`` socket, so
+keep-alive clients no longer wait out a delayed ACK between the headers
+and the body (about 40 ms per request with the stdlib client).
 """
 
 from __future__ import annotations
@@ -128,6 +134,9 @@ class ServingHandler(BaseHTTPRequestHandler):
     server: ServiceHTTPServer
 
     protocol_version = "HTTP/1.1"
+    # Nagle would hold a response's last segment until the client ACKs
+    # the previous one, and clients delay that ACK (~40 ms on Linux).
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -146,12 +155,16 @@ class ServingHandler(BaseHTTPRequestHandler):
         if not getattr(self.server, "quiet", True):
             super().log_message(format, *args)
 
+    def _path(self) -> str:
+        """The request path without its query string: what routes."""
+        return self.path.split("?", 1)[0]
+
     def _route(self) -> str:
         """The path normalised for metric labels: known routes pass
         through, anything else (unknown paths, future id-suffixed
         routes) collapses to its first segment + ``/*`` so label
         cardinality stays bounded."""
-        path = self.path.split("?", 1)[0]
+        path = self._path()
         known = {
             "/healthz", "/health", "/stats", "/metrics", "/strategies",
             "/sessions", "/rebalance", "/rebalance/batch",
@@ -161,16 +174,42 @@ class ServingHandler(BaseHTTPRequestHandler):
         head = path.split("/", 2)[1] if path.startswith("/") else path
         return f"/{head}/*"
 
-    def _write_json(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
+    def _respond(
+        self, status: int, content_type: str, body: bytes, close: bool = False
+    ) -> None:
+        """Send one response in one write.  ``end_headers()`` would
+        flush the head on its own, leaving the body to wait on the
+        client's ACK; here the blank line and the body queue behind the
+        headers and all of it leaves together.  ``close`` announces and
+        performs a connection close after the response."""
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        if close:
+            self.send_header("Connection", "close")
+        head = b""
+        if self.request_version != "HTTP/0.9":
+            self._headers_buffer.append(b"\r\n")
+            head = b"".join(self._headers_buffer)
+            self._headers_buffer = []
+        self.wfile.write(head + body)
 
-    def _read_json(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length", 0))
+    def _write_json(
+        self, status: int, payload: Dict[str, Any], close: bool = False
+    ) -> None:
+        body = json.dumps(payload).encode("utf-8")
+        self._respond(status, "application/json", body, close=close)
+
+    def _content_length(self) -> Optional[int]:
+        """The declared body length; ``None`` when it is not a
+        non-negative integer."""
+        try:
+            length = int(self.headers.get("Content-Length", 0))
+        except ValueError:
+            return None
+        return length if length >= 0 else None
+
+    def _read_json(self, length: int) -> Dict[str, Any]:
         raw = self.rfile.read(length) if length else b"{}"
         payload = json.loads(raw.decode("utf-8"))
         if not isinstance(payload, dict):
@@ -207,13 +246,7 @@ class ServingHandler(BaseHTTPRequestHandler):
             "repro_uptime_seconds", help="seconds since backend construction"
         ).set(self.server.uptime_seconds())
         body = render_prometheus(obs.metrics).encode("utf-8")
-        self.send_response(200)
-        self.send_header(
-            "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-        )
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+        self._respond(200, "text/plain; version=0.0.4; charset=utf-8", body)
 
     def _observe_request(self, method: str, t0: float) -> None:
         obs = self.server.obs
@@ -246,7 +279,8 @@ class ServingHandler(BaseHTTPRequestHandler):
 
     def _do_get(self) -> None:
         service = self.server.service
-        if self.path == "/healthz":
+        path = self._path()
+        if path == "/healthz":
             self._write_json(
                 200,
                 {
@@ -257,7 +291,7 @@ class ServingHandler(BaseHTTPRequestHandler):
                     "stats": service.stats.to_json_dict(),
                 },
             )
-        elif self.path == "/health":
+        elif path == "/health":
             # The resilience-aware sibling of /healthz: same liveness
             # signal plus the counters an operator watches under load —
             # degraded serving and admission-queue backpressure.  A
@@ -292,7 +326,7 @@ class ServingHandler(BaseHTTPRequestHandler):
                     # (dispatch heals on touch), but say so.
                     payload["status"] = "degraded"
             self._write_json(200, payload)
-        elif self.path == "/stats":
+        elif path == "/stats":
             if hasattr(service, "stats_dict"):
                 payload = dict(service.stats_dict())
             else:
@@ -308,11 +342,11 @@ class ServingHandler(BaseHTTPRequestHandler):
             payload["uptime_seconds"] = self.server.uptime_seconds()
             payload["version"] = __version__
             self._write_json(200, payload)
-        elif self.path == "/metrics":
+        elif path == "/metrics":
             self._write_metrics()
-        elif self.path == "/strategies":
+        elif path == "/strategies":
             self._write_json(200, {"strategies": list(service.registry.names())})
-        elif self.path == "/sessions":
+        elif path == "/sessions":
             self._write_json(
                 200,
                 {
@@ -333,17 +367,25 @@ class ServingHandler(BaseHTTPRequestHandler):
             self._observe_request("POST", t0)
 
     def _do_post(self) -> None:
+        length = self._content_length()
+        if length is None:
+            # The body cannot be framed, so whatever follows on the
+            # stream is not a request: answer once and drop the
+            # connection rather than parse the body as the next one.
+            self._write_json(400, {"error": "invalid Content-Length"}, close=True)
+            return
         try:
-            payload = self._read_json()
+            payload = self._read_json(length)
         except (ValueError, json.JSONDecodeError) as exc:
             self._error(400, f"invalid JSON body: {exc}")
             return
+        path = self._path()
         try:
-            if self.path == "/sessions":
+            if path == "/sessions":
                 self._create_session(payload)
-            elif self.path == "/rebalance":
+            elif path == "/rebalance":
                 self._rebalance(payload)
-            elif self.path == "/rebalance/batch":
+            elif path == "/rebalance/batch":
                 self._rebalance_batch(payload)
             else:
                 self._error(404, f"unknown path {self.path!r}")

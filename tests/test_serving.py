@@ -1,7 +1,12 @@
 """Tests for the repro.serving inference service layer."""
 
+import contextlib
+import http.client
 import json
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -631,20 +636,30 @@ class TestMicroBatcher:
             batcher.submit(RebalanceRequest("ghost"))
 
 
+@contextlib.contextmanager
+def serving(service, **kwargs):
+    """An in-process HTTP front on a free local port; yields the port."""
+    from repro.serving.http import serve
+
+    try:
+        server = serve(service, port=0, **kwargs)
+    except (OSError, PermissionError) as exc:
+        pytest.skip(f"cannot bind a local socket here: {exc}")
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        yield server.server_address[1]
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
 class TestHTTP:
     def test_endpoint_round_trip(self, config, market, sdp_params):
-        from repro.serving.http import serve
-
         service = make_service(config, market)
         service.create_session("alice", "sdp", params=sdp_params, market="m")
-        try:
-            server = serve(service, port=0, max_wait=0.01)
-        except (OSError, PermissionError) as exc:
-            pytest.skip(f"cannot bind a local socket here: {exc}")
-        base = "http://127.0.0.1:%d" % server.server_address[1]
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
+        with serving(service, max_wait=0.01) as port:
+            base = "http://127.0.0.1:%d" % port
+
             def post(path, payload):
                 request = urllib.request.Request(
                     base + path,
@@ -708,12 +723,8 @@ class TestHTTP:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 post("/rebalance", {"session_id": "ghost"})
             assert excinfo.value.code == 400
-        finally:
-            server.shutdown()
 
     def test_internal_error_returns_json_500(self, config, market):
-        from repro.serving.http import serve
-
         reg = StrategyRegistry()
 
         @reg.register("boom")
@@ -729,15 +740,9 @@ class TestHTTP:
         service.create_session(
             "x", "boom", market="m", observation=config.observation
         )
-        try:
-            server = serve(service, port=0, micro_batch=False)
-        except (OSError, PermissionError) as exc:
-            pytest.skip(f"cannot bind a local socket here: {exc}")
-        base = "http://127.0.0.1:%d" % server.server_address[1]
-        threading.Thread(target=server.serve_forever, daemon=True).start()
-        try:
+        with serving(service, micro_batch=False) as port:
             request = urllib.request.Request(
-                base + "/rebalance",
+                "http://127.0.0.1:%d/rebalance" % port,
                 data=json.dumps({"session_id": "x"}).encode(),
                 headers={"Content-Type": "application/json"},
                 method="POST",
@@ -746,8 +751,93 @@ class TestHTTP:
                 urllib.request.urlopen(request)
             assert excinfo.value.code == 500
             assert "kaput" in json.loads(excinfo.value.read())["error"]
-        finally:
-            server.shutdown()
+
+    def test_keep_alive_requests_do_not_wait_on_delayed_ack(
+        self, config, market
+    ):
+        # Headers and body sent apart on a Nagle socket cost each
+        # keep-alive request a delayed ACK (~40 ms); one send on a
+        # TCP_NODELAY socket answers in about a millisecond.  No
+        # micro-batcher, so its 5 ms window stays out of the timing.
+        service = make_service(config, market)
+        service.create_session("u", "ucrp", market="m")
+        with serving(service, micro_batch=False) as port:
+            conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+            try:
+                for method, path, body in (
+                    ("GET", "/healthz", None),
+                    ("POST", "/rebalance", json.dumps({"session_id": "u"})),
+                ):
+                    elapsed = []
+                    for _ in range(20):
+                        t0 = time.perf_counter()
+                        conn.request(method, path, body=body)
+                        response = conn.getresponse()
+                        response.read()
+                        elapsed.append(time.perf_counter() - t0)
+                        assert response.status == 200
+                    assert statistics.median(elapsed) < 0.020, (path, elapsed)
+            finally:
+                conn.close()
+
+    @pytest.mark.parametrize("length", [b"-5", b"abc"])
+    def test_bad_content_length_answers_once_and_closes(
+        self, config, market, length
+    ):
+        service = make_service(config, market)
+        service.create_session("u", "ucrp", market="m")
+        with serving(service) as port:
+            with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+                # A valid request pipelined behind the bad one must not
+                # be answered: the bad body's extent is unknown, so the
+                # stream after it cannot be trusted.
+                sock.sendall(
+                    b"POST /rebalance HTTP/1.1\r\nHost: x\r\n"
+                    b"Content-Length: " + length + b"\r\n\r\n"
+                    b'{"session_id": "u"}'
+                    b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+                )
+                reply = b""
+                while chunk := sock.recv(65536):
+                    reply += chunk
+        assert reply.count(b"HTTP/1.1 ") == 1, reply
+        head, body = reply.split(b"\r\n\r\n", 1)
+        assert head.startswith(b"HTTP/1.1 400 "), head
+        assert b"Connection: close" in head
+        assert json.loads(body) == {"error": "invalid Content-Length"}
+        # The rejected request never reached the service.
+        assert service.describe_session("u").decisions == 0
+
+    def test_query_string_does_not_change_the_route(self, config, market):
+        service = make_service(config, market)
+        service.create_session("u", "ucrp", market="m")
+        with serving(service) as port:
+            base = "http://127.0.0.1:%d" % port
+            health = json.loads(
+                urllib.request.urlopen(base + "/healthz?probe=1").read()
+            )
+            assert health["status"] == "ok"
+            request = urllib.request.Request(
+                base + "/rebalance?probe=1",
+                data=json.dumps({"session_id": "u"}).encode(),
+                method="POST",
+            )
+            served = json.loads(urllib.request.urlopen(request).read())
+            assert served["session_id"] == "u"
+            # The request metrics label the same route the handler
+            # served.  The handler counts a request after its response
+            # is on the wire, so wait (bounded) for the POST's count.
+            wanted = [
+                f'repro_http_requests_total{{method="{method}",route="{route}"}} 1'
+                for method, route in (("GET", "/healthz"), ("POST", "/rebalance"))
+            ]
+            deadline = time.monotonic() + 5.0
+            while True:
+                metrics = urllib.request.urlopen(base + "/metrics").read().decode()
+                if all(series in metrics for series in wanted):
+                    break
+                assert time.monotonic() < deadline, metrics
+                time.sleep(0.01)
 
 
 class TestPanelGroupedPrepare:
