@@ -28,7 +28,7 @@ def sweep_timesteps():
     first = cfg.observation.first_decision_index()
     indices = np.linspace(first, test.n_periods - 2, num=32, dtype=np.int64)
     uniform = np.full((32, test.n_assets + 1), 1.0 / (test.n_assets + 1))
-    states = agent._states(test, indices, uniform)
+    states = agent.prepare_states(test, indices, uniform)
 
     reference = agent.network.forward(states, timesteps=REFERENCE_T).data
     device = LoihiDeviceModel()

@@ -23,7 +23,7 @@ def train_and_deploy():
     first = cfg.observation.first_decision_index()
     indices = np.linspace(first, test.n_periods - 2, num=48, dtype=np.int64)
     uniform = np.full((48, test.n_assets + 1), 1.0 / (test.n_assets + 1))
-    states = agent._states(test, indices, uniform)
+    states = agent.prepare_states(test, indices, uniform)
 
     deployment = deploy(agent.network)
     agreement = deployment.agreement(states)

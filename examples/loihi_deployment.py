@@ -43,7 +43,7 @@ def main() -> None:
     first = config.observation.first_decision_index()
     indices = np.linspace(first, test.n_periods - 2, num=64, dtype=np.int64)
     uniform = np.full((64, test.n_assets + 1), 1.0 / (test.n_assets + 1))
-    states = agent._states(test, indices, uniform)
+    states = agent.prepare_states(test, indices, uniform)
 
     agreement = deployment.agreement(states)
     print(f"Chip-vs-float fidelity over {agreement.num_states} states:")

@@ -137,12 +137,6 @@ class SDPAgent(Agent):
             return sdp_asset_features_batch(data, indices, w_prev, self.observation)
         return sdp_state_batch(data, indices, w_prev, self.observation)
 
-    def _states(
-        self, data: MarketData, indices: np.ndarray, w_prev: np.ndarray
-    ) -> np.ndarray:
-        """Pre-registry private name, kept for backward compatibility."""
-        return self.prepare_states(data, indices, w_prev)
-
     def decide_batch(self, states: np.ndarray) -> np.ndarray:
         """One batched SNN forward over a prepared state batch.
 

@@ -19,13 +19,12 @@ from .network import (
     SharedTrainTape,
 )
 from .neurons import (
-    LIFInferenceState,
+    LIFCarries,
     LIFParameters,
     LIFState,
     LIFTrainTape,
     lif_backward_step,
     lif_step,
-    lif_step_inference,
     lif_step_train,
     spike_function,
 )
@@ -42,7 +41,7 @@ __all__ = [
     "ActivityRecord",
     "DecoderTape",
     "EncoderConfig",
-    "LIFInferenceState",
+    "LIFCarries",
     "LIFParameters",
     "LIFState",
     "LIFTrainTape",
@@ -63,7 +62,6 @@ __all__ = [
     "get_surrogate",
     "lif_backward_step",
     "lif_step",
-    "lif_step_inference",
     "lif_step_train",
     "rectangular",
     "spike_function",

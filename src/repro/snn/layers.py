@@ -18,13 +18,12 @@ from ..autograd import Tensor
 from ..autograd import functional as F
 from ..autograd.nn import Module, Parameter, kaiming_uniform
 from .neurons import (
-    LIFInferenceState,
+    LIFCarries,
     LIFParameters,
     LIFState,
     LIFTrainTape,
     lif_backward_step,
     lif_step,
-    lif_step_inference,
     lif_step_train,
 )
 from .surrogate import SurrogateGradient, rectangular
@@ -34,8 +33,9 @@ from .surrogate import SurrogateGradient, rectangular
 class SpikingLinearTape:
     """Static tape of one :class:`SpikingLinear` unroll for training.
 
-    Wraps the layer's :class:`~repro.snn.neurons.LIFTrainTape` with the
-    buffers the synaptic backward needs: the weight-gradient accumulator
+    Wraps the layer's ``T + 1``-slice
+    :class:`~repro.snn.neurons.LIFTrainTape` with the buffers only the
+    backward needs: the LIF carries, the weight-gradient accumulator
     (kept ``(in, out)`` so the per-step ``xᵀ @ g`` lands in it directly;
     it is transposed once when flushed into ``weight.grad``), a per-step
     scratch pair, and the input-gradient buffer handed to the layer
@@ -43,6 +43,7 @@ class SpikingLinearTape:
     """
 
     lif: LIFTrainTape
+    carries: LIFCarries
     g_weight: np.ndarray       # (in, out) accumulated over t = T..1
     g_weight_step: np.ndarray  # (in, out) single-step scratch
     g_bias: np.ndarray         # (out,) accumulated over t = T..1
@@ -106,28 +107,13 @@ class SpikingLinear(Module):
         self._state = lif_step(drive, self._state, self.lif, self.surrogate)
         return self._state.spikes
 
-    # -- inference fast path -------------------------------------------
-    def make_inference_state(self, batch_size: int) -> LIFInferenceState:
-        """Preallocated ``c``/``v``/``o`` buffers for one fused unroll."""
-        return LIFInferenceState.zeros((batch_size, self.out_features))
-
-    def step_inference(
-        self, input_spikes: np.ndarray, state: LIFInferenceState
-    ) -> np.ndarray:
-        """One graph-free timestep, bit-identical to :meth:`step`.
-
-        The synaptic drive is the same ``x @ W.T + b`` the autograd path
-        computes; the LIF update runs in place on ``state``'s buffers.
-        Returns the layer's spike buffer (valid until the next call).
-        """
-        drive = input_spikes @ self.weight.data.T + self.bias.data
-        return lif_step_inference(drive, state, self.lif)
-
-    # -- training fast path --------------------------------------------
+    # -- fused fast path -----------------------------------------------
     def make_train_tape(self, batch_size: int, timesteps: int) -> SpikingLinearTape:
         """Preallocated forward/backward buffers for fused STBP training."""
+        shape = (batch_size, self.out_features)
         return SpikingLinearTape(
-            lif=LIFTrainTape.zeros(timesteps, (batch_size, self.out_features)),
+            lif=LIFTrainTape.zeros(timesteps + 1, shape),
+            carries=LIFCarries.empty(shape),
             g_weight=np.empty((self.in_features, self.out_features)),
             g_weight_step=np.empty((self.in_features, self.out_features)),
             g_bias=np.empty(self.out_features),
@@ -136,18 +122,22 @@ class SpikingLinear(Module):
         )
 
     def step_train(
-        self, input_spikes: np.ndarray, tape: SpikingLinearTape, t: int
+        self, input_spikes: np.ndarray, tape: LIFTrainTape, t: int
     ) -> np.ndarray:
-        """Fused training forward for timestep ``t`` (1-based).
+        """Fused forward for timestep ``t`` (1-based).
 
         Same arithmetic as :meth:`step` (``x @ W.T + b`` then the LIF
         update) but recorded onto the preallocated tape instead of the
         closure graph; bit-identical spikes, zero allocations.
         """
-        drive = tape.lif.drive
+        drive = tape.drive
         np.matmul(input_spikes, self.weight.data.T, out=drive)
         np.add(drive, self.bias.data, out=drive)
-        return lif_step_train(drive, tape.lif, self.lif, t)
+        return lif_step_train(drive, tape, self.lif, t)
+
+    # The same kernel under its own name, so per-layer traces report
+    # inference steps apart from training steps.
+    step_inference = step_train
 
     def backward_step_train(
         self,
@@ -167,10 +157,12 @@ class SpikingLinear(Module):
         into this layer's input spikes (``tape.g_input``, valid until
         the next call).
         """
-        g_drive = lif_backward_step(grad_spikes, tape.lif, self.lif, self.surrogate, t)
+        g_drive = lif_backward_step(
+            grad_spikes, tape.lif, tape.carries, self.lif, self.surrogate, t
+        )
         # np.add.reduce is what ndarray.sum(axis=0) dispatches to —
         # identical result without the fromnumeric wrapper overhead.
-        if t == tape.lif.timesteps:
+        if t == len(tape.lif.voltage) - 1:
             np.matmul(input_spikes.T, g_drive, out=tape.g_weight)
             np.add.reduce(g_drive, axis=0, out=tape.g_bias)
         else:
@@ -231,37 +223,7 @@ class SpikingStack(Module):
             spikes = layer.step(spikes)
         return spikes
 
-    def spike_counts(self) -> List[float]:
-        """Total spikes emitted by each layer at the current step.
-
-        Used by the Loihi energy model to count events.
-        """
-        return [float(layer.state.spikes.data.sum()) for layer in self.layers]
-
     # -- training fast path --------------------------------------------
     def make_train_tapes(self, batch_size: int, timesteps: int) -> List[SpikingLinearTape]:
         """One preallocated train tape per layer for fused STBP."""
         return [layer.make_train_tape(batch_size, timesteps) for layer in self.layers]
-
-    def step_train(
-        self, input_spikes: np.ndarray, tapes: List[SpikingLinearTape], t: int
-    ) -> np.ndarray:
-        """Fused recorded step through every layer (Algorithm 1 inner loop)."""
-        spikes = input_spikes
-        for layer, tape in zip(self.layers, tapes):
-            spikes = layer.step_train(spikes, tape, t)
-        return spikes
-
-    # -- inference fast path -------------------------------------------
-    def make_inference_states(self, batch_size: int) -> List[LIFInferenceState]:
-        """One preallocated buffer set per layer for a fused unroll."""
-        return [layer.make_inference_state(batch_size) for layer in self.layers]
-
-    def step_inference(
-        self, input_spikes: np.ndarray, states: List[LIFInferenceState]
-    ) -> np.ndarray:
-        """Graph-free step through every layer (Algorithm 1 inner loop)."""
-        spikes = input_spikes
-        for layer, state in zip(self.layers, states):
-            spikes = layer.step_inference(spikes, state)
-        return spikes

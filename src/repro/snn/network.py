@@ -18,8 +18,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autograd import Tensor
-from ..autograd.nn import Module
+from ..autograd import Tensor, concatenate
+from ..autograd.nn import Module, Parameter
 from .decoding import (
     DecoderTape,
     PopulationDecoder,
@@ -28,7 +28,7 @@ from .decoding import (
 )
 from .encoding import EncoderBuffers, EncoderConfig, PopulationEncoder
 from .layers import SpikingLinear, SpikingLinearTape, SpikingStack
-from .neurons import LIFParameters
+from .neurons import LIFParameters, LIFTrainTape
 from .surrogate import SurrogateGradient, rectangular
 
 # Table 2: two hidden layers of 128 neurons; T = 5.
@@ -147,11 +147,85 @@ def _stbp_backward(
         layer.finalize_train_grads(tape)
 
 
+def _layer_tapes(
+    stack: SpikingStack, rows: int, timesteps: int, train: bool, record: bool
+) -> Tuple[List[LIFTrainTape], List[SpikingLinearTape]]:
+    """Per-layer tapes of one fused forward, as ``(lif, layer_tapes)``.
+
+    Training gets ``T + 1``-slice tapes plus the backward buffers.
+    Inference gets forward-only tapes and no backward buffers: ``T + 1``
+    slices when ``record`` needs every step's spikes for the activity
+    counts, otherwise one slice updated in place.
+    """
+    if train:
+        layer_tapes = stack.make_train_tapes(rows, timesteps)
+        return [lt.lif for lt in layer_tapes], layer_tapes
+    depth = timesteps + 1 if record else 1
+    shapes = [(rows, layer.out_features) for layer in stack.layers]
+    return [LIFTrainTape.zeros(depth, shape) for shape in shapes], []
+
+
+def _unroll(
+    layers: List[SpikingLinear],
+    step: str,
+    lif: List[LIFTrainTape],
+    spike_trains: np.ndarray,
+    sum_spikes: np.ndarray,
+) -> None:
+    """Algorithm 1's ``T``-step unroll on fused tapes.
+
+    Drives every layer's ``step`` method (``step_train`` or
+    ``step_inference``, one kernel under two names) through
+    t = 1..T and sums the top layer's spikes into ``sum_spikes``.
+    """
+    steps = [getattr(layer, step) for layer in layers]
+    for tape in lif:
+        tape.begin()
+    for t in range(1, len(spike_trains) + 1):
+        spikes = spike_trains[t - 1]
+        for layer_step, tape in zip(steps, lif):
+            spikes = layer_step(spikes, tape, t)
+        if t == 1:
+            np.copyto(sum_spikes, spikes)
+        else:
+            np.add(sum_spikes, spikes, out=sum_spikes)
+
+
+def _activity(
+    layers: List[SpikingLinear],
+    lif: List[LIFTrainTape],
+    spike_trains: np.ndarray,
+    batch: int,
+) -> ActivityRecord:
+    """Loihi activity counts read off a ``T + 1``-slice fused tape.
+
+    Spike counts are whole numbers, so these totals equal the graph
+    path's per-step sums exactly.
+    """
+    timesteps, rows = spike_trains.shape[:2]
+    outputs = [tape.spikes[1:] for tape in lif]
+    inputs = [spike_trains] + outputs[:-1]
+    return ActivityRecord(
+        timesteps=timesteps,
+        batch_size=batch,
+        input_spikes=float(spike_trains.sum()),
+        layer_spikes=[float(o.sum()) for o in outputs],
+        # Each presynaptic spike touches every postsynaptic neuron once.
+        synaptic_ops=[
+            float(x.sum()) * layer.out_features for x, layer in zip(inputs, layers)
+        ],
+        neuron_updates=[
+            float(layer.out_features * timesteps * rows) for layer in layers
+        ],
+    )
+
+
 @dataclass
 class SharedTrainTape:
-    """Preallocated buffers of one :class:`SharedSDPNetwork` train pass."""
+    """Preallocated buffers of one fused :class:`SharedSDPNetwork` pass."""
 
-    layer_tapes: List[SpikingLinearTape]
+    lif: List[LIFTrainTape]                # per layer (see _layer_tapes)
+    layer_tapes: List[SpikingLinearTape]   # backward buffers; train tapes only
     encoder: EncoderBuffers
     sum_spikes: np.ndarray   # (batch·assets, P)
     rates: np.ndarray        # (batch·assets, P)
@@ -168,9 +242,10 @@ class SharedTrainTape:
 
 @dataclass
 class SDPTrainTape:
-    """Preallocated buffers of one :class:`SDPNetwork` train pass."""
+    """Preallocated buffers of one fused :class:`SDPNetwork` pass."""
 
-    layer_tapes: List[SpikingLinearTape]
+    lif: List[LIFTrainTape]                # per layer (see _layer_tapes)
+    layer_tapes: List[SpikingLinearTape]   # backward buffers; train tapes only
     encoder: EncoderBuffers
     decoder: DecoderTape
     sum_spikes: np.ndarray   # (batch, N·P)
@@ -220,10 +295,6 @@ class SharedSDPNetwork(Module):
         self, config: SharedSDPConfig, rng: Optional[np.random.Generator] = None
     ):
         super().__init__()
-        from ..autograd import Tensor as _T  # local alias for clarity
-        from ..autograd import concatenate
-        from ..autograd.nn import Parameter
-
         rng = rng if rng is not None else np.random.default_rng()
         self.config = config
         encoder_cfg = EncoderConfig(
@@ -289,48 +360,24 @@ class SharedSDPNetwork(Module):
     ) -> np.ndarray:
         """Graph-free fused forward; bit-identical to :meth:`forward`.
 
-        Runs the whole ``T``-step unroll on preallocated, in-place
-        updated LIF buffers and returns a plain ``(batch, n_assets + 1)``
-        ndarray — no autograd nodes are created anywhere.
+        Runs :meth:`policy_forward_fused`'s kernel on a fresh one-slice
+        tape (``v``/``o`` updated in place, no backward buffers) and
+        returns a plain ``(batch, n_assets + 1)`` ndarray the caller
+        owns — no autograd nodes are created anywhere, and the train
+        tape is left untouched.
         """
-        action, _ = self._run_inference(asset_features, timesteps, record=False)
-        return action
+        return self._forward_fused(asset_features, timesteps).action
 
     def forward_inference_with_activity(
         self, asset_features: np.ndarray, timesteps: Optional[int] = None
     ) -> Tuple[np.ndarray, ActivityRecord]:
         """Fused forward that also returns the Loihi activity counts."""
-        return self._run_inference(asset_features, timesteps, record=True)
+        tape = self._forward_fused(asset_features, timesteps, record=True)
+        return tape.action, _activity(
+            self.stack.layers, tape.lif, tape.spike_trains, tape.batch
+        )
 
-    # -- training fast path --------------------------------------------
-    def _ensure_train_tape(
-        self, batch: int, n_assets: int, timesteps: int
-    ) -> SharedTrainTape:
-        tape = getattr(self, "_train_tape", None)
-        if (
-            tape is None
-            or tape.batch != batch
-            or tape.n_assets != n_assets
-            or tape.timesteps != timesteps
-        ):
-            rows = batch * n_assets
-            tape = SharedTrainTape(
-                layer_tapes=self.stack.make_train_tapes(rows, timesteps),
-                encoder=self.encoder.make_buffers(rows, timesteps),
-                sum_spikes=np.empty((rows, self.stack.out_features)),
-                rates=np.empty((rows, self.stack.out_features)),
-                scores=np.empty(rows),
-                logits=np.empty((batch, n_assets + 1)),
-                temp=np.empty((batch, n_assets + 1)),
-                temp_sum=np.empty((batch, 1)),
-                action=np.empty((batch, n_assets + 1)),
-                batch=batch,
-                n_assets=n_assets,
-                timesteps=timesteps,
-            )
-            self._train_tape = tape
-        return tape
-
+    # -- fused fast path -----------------------------------------------
     def policy_forward_fused(
         self, asset_features: np.ndarray, timesteps: Optional[int] = None
     ) -> np.ndarray:
@@ -346,6 +393,18 @@ class SharedSDPNetwork(Module):
         a tape buffer, valid until the next fused forward.  Not
         thread-safe: one trainer per network instance.
         """
+        return self._forward_fused(asset_features, timesteps, train=True).action
+
+    def _forward_fused(
+        self,
+        asset_features: np.ndarray,
+        timesteps: Optional[int],
+        train: bool = False,
+        record: bool = False,
+    ) -> SharedTrainTape:
+        """The one fused forward: training runs on the cached train tape,
+        inference on a fresh tape per call (see :func:`_layer_tapes`).
+        Returns the tape it ran on."""
         timesteps = timesteps if timesteps is not None else self.config.timesteps
         feats = np.asarray(asset_features, dtype=np.float64)
         if feats.ndim == 2:
@@ -355,19 +414,36 @@ class SharedSDPNetwork(Module):
             raise ValueError(
                 f"expected feature_dim={self.config.feature_dim}, got {d}"
             )
-        tape = self._ensure_train_tape(batch, n_assets, timesteps)
-        flat = feats.reshape(batch * n_assets, d)
+        rows = batch * n_assets
+        tape = getattr(self, "_train_tape", None) if train else None
+        if tape is None or (tape.batch, tape.n_assets, tape.timesteps) != (
+            batch, n_assets, timesteps
+        ):
+            lif, layer_tapes = _layer_tapes(self.stack, rows, timesteps, train, record)
+            tape = SharedTrainTape(
+                lif=lif,
+                layer_tapes=layer_tapes,
+                encoder=self.encoder.make_buffers(rows, timesteps),
+                sum_spikes=np.empty((rows, self.stack.out_features)),
+                rates=np.empty((rows, self.stack.out_features)),
+                scores=np.empty(rows),
+                logits=np.empty((batch, n_assets + 1)),
+                temp=np.empty((batch, n_assets + 1)),
+                temp_sum=np.empty((batch, 1)),
+                action=np.empty((batch, n_assets + 1)),
+                batch=batch,
+                n_assets=n_assets,
+                timesteps=timesteps,
+            )
+            if train:
+                self._train_tape = tape
         tape.spike_trains = self.encoder.encode_buffered(
-            flat, timesteps, tape.encoder
+            feats.reshape(rows, d), timesteps, tape.encoder
         )
-        for lt in tape.layer_tapes:
-            lt.lif.begin()
-        for t in range(1, timesteps + 1):
-            spikes = self.stack.step_train(tape.spike_trains[t - 1], tape.layer_tapes, t)
-            if t == 1:
-                np.copyto(tape.sum_spikes, spikes)
-            else:
-                np.add(tape.sum_spikes, spikes, out=tape.sum_spikes)
+        _unroll(
+            self.stack.layers, "step_train" if train else "step_inference",
+            tape.lif, tape.spike_trains, tape.sum_spikes,
+        )
         np.multiply(tape.sum_spikes, 1.0 / timesteps, out=tape.rates)
         np.matmul(tape.rates, self.readout_weight.data, out=tape.scores)
         np.add(tape.scores, self.readout_bias.data, out=tape.scores)
@@ -375,9 +451,8 @@ class SharedSDPNetwork(Module):
         # learned bias broadcast over the batch (bias · 1 ≡ bias).
         tape.logits[:, 0] = self.cash_bias.data[0]
         tape.logits[:, 1:] = tape.scores.reshape(batch, n_assets)
-        return softmax_head_forward(
-            tape.logits, tape.temp, tape.temp_sum, tape.action
-        )
+        softmax_head_forward(tape.logits, tape.temp, tape.temp_sum, tape.action)
+        return tape
 
     def policy_backward_fused(self, grad_action: np.ndarray) -> None:
         """Analytic backward of :meth:`policy_forward_fused`.
@@ -408,9 +483,6 @@ class SharedSDPNetwork(Module):
         self.cash_bias._accumulate(g_cash_bias)
 
     def _run(self, asset_features, timesteps, record):
-        from ..autograd import Tensor as _T
-        from ..autograd import concatenate
-
         timesteps = timesteps if timesteps is not None else self.config.timesteps
         feats = np.asarray(asset_features, dtype=np.float64)
         if feats.ndim == 2:
@@ -429,7 +501,7 @@ class SharedSDPNetwork(Module):
         synaptic_ops = [0.0] * len(self.stack.layers)
         input_total = 0.0
         for t in range(timesteps):
-            spikes = _T(spike_trains[t])
+            spikes = Tensor(spike_trains[t])
             if record:
                 input_total += float(spike_trains[t].sum())
             for k, layer in enumerate(self.stack.layers):
@@ -443,66 +515,10 @@ class SharedSDPNetwork(Module):
         rates = sum_spikes * (1.0 / timesteps)
         scores = rates @ self.readout_weight + self.readout_bias
         scores = scores.reshape(batch, n_assets)
-        cash = self.cash_bias.reshape(1, 1) * _T(np.ones((batch, 1)))
+        cash = self.cash_bias.reshape(1, 1) * Tensor(np.ones((batch, 1)))
         logits = concatenate([cash, scores], axis=1)
-        shifted = logits - _T(logits.data.max(axis=1, keepdims=True))
+        shifted = logits - Tensor(logits.data.max(axis=1, keepdims=True))
         temp = shifted.exp()
-        action = temp / temp.sum(axis=1, keepdims=True)
-
-        activity = None
-        if record:
-            activity = ActivityRecord(
-                timesteps=timesteps,
-                batch_size=batch,  # one *inference* covers all assets
-                input_spikes=input_total,
-                layer_spikes=layer_spikes,
-                synaptic_ops=synaptic_ops,
-                neuron_updates=[
-                    float(l.out_features * timesteps * batch * n_assets)
-                    for l in self.stack.layers
-                ],
-            )
-        return action, activity
-
-    def _run_inference(
-        self, asset_features, timesteps, record
-    ) -> Tuple[np.ndarray, Optional[ActivityRecord]]:
-        timesteps = timesteps if timesteps is not None else self.config.timesteps
-        feats = np.asarray(asset_features, dtype=np.float64)
-        if feats.ndim == 2:
-            feats = feats[None]
-        batch, n_assets, d = feats.shape
-        if d != self.config.feature_dim:
-            raise ValueError(
-                f"expected feature_dim={self.config.feature_dim}, got {d}"
-            )
-        flat = feats.reshape(batch * n_assets, d)
-        spike_trains = self.encoder.encode(flat, timesteps)  # (T, B·A, N)
-        states = self.stack.make_inference_states(batch * n_assets)
-
-        sum_spikes = np.zeros((batch * n_assets, self.stack.out_features))
-        layer_spikes = [0.0] * len(self.stack.layers)
-        synaptic_ops = [0.0] * len(self.stack.layers)
-        input_total = 0.0
-        for t in range(timesteps):
-            spikes = spike_trains[t]
-            if record:
-                input_total += float(spikes.sum())
-            for k, (layer, state) in enumerate(zip(self.stack.layers, states)):
-                if record:
-                    synaptic_ops[k] += float(spikes.sum()) * layer.out_features
-                spikes = layer.step_inference(spikes, state)
-                if record:
-                    layer_spikes[k] += float(spikes.sum())
-            sum_spikes += spikes
-
-        rates = sum_spikes * (1.0 / timesteps)
-        scores = rates @ self.readout_weight.data + self.readout_bias.data
-        scores = scores.reshape(batch, n_assets)
-        cash = self.cash_bias.data.reshape(1, 1) * np.ones((batch, 1))
-        logits = np.concatenate([cash, scores], axis=1)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        temp = np.exp(shifted)
         action = temp / temp.sum(axis=1, keepdims=True)
 
         activity = None
@@ -602,34 +618,22 @@ class SDPNetwork(Module):
     ) -> np.ndarray:
         """Graph-free fused forward; bit-identical to :meth:`forward`.
 
-        The ``T``-step unroll runs on preallocated, in-place-updated
-        ``c``/``v``/``o`` buffers and returns a plain
-        ``(batch, num_actions)`` ndarray — no autograd nodes anywhere.
+        Runs :meth:`policy_forward_fused`'s kernel on a fresh one-slice
+        tape and returns a plain ``(batch, num_actions)`` ndarray the
+        caller owns — no autograd nodes anywhere, train tape untouched.
         """
-        action, _ = self._run_inference(states, timesteps, record=False)
-        return action
+        return self._forward_fused(states, timesteps).decoder.action
 
     def forward_inference_with_activity(
         self, states: np.ndarray, timesteps: Optional[int] = None
     ) -> Tuple[np.ndarray, ActivityRecord]:
         """Fused forward that also returns the Loihi activity counts."""
-        return self._run_inference(states, timesteps, record=True)
+        tape = self._forward_fused(states, timesteps, record=True)
+        return tape.decoder.action, _activity(
+            self.stack.layers, tape.lif, tape.spike_trains, tape.batch
+        )
 
-    # -- training fast path --------------------------------------------
-    def _ensure_train_tape(self, batch: int, timesteps: int) -> SDPTrainTape:
-        tape = getattr(self, "_train_tape", None)
-        if tape is None or tape.batch != batch or tape.timesteps != timesteps:
-            tape = SDPTrainTape(
-                layer_tapes=self.stack.make_train_tapes(batch, timesteps),
-                encoder=self.encoder.make_buffers(batch, timesteps),
-                decoder=self.decoder.make_train_tape(batch),
-                sum_spikes=np.empty((batch, self.stack.out_features)),
-                batch=batch,
-                timesteps=timesteps,
-            )
-            self._train_tape = tape
-        return tape
-
+    # -- fused fast path -----------------------------------------------
     def policy_forward_fused(
         self, states: np.ndarray, timesteps: Optional[int] = None
     ) -> np.ndarray:
@@ -637,22 +641,43 @@ class SDPNetwork(Module):
         :meth:`forward` (see :meth:`SharedSDPNetwork.policy_forward_fused`
         for the contract — tape reuse, buffer lifetime, thread-safety).
         """
+        return self._forward_fused(states, timesteps, train=True).decoder.action
+
+    def _forward_fused(
+        self,
+        states: np.ndarray,
+        timesteps: Optional[int],
+        train: bool = False,
+        record: bool = False,
+    ) -> SDPTrainTape:
+        """The one fused forward (see
+        :meth:`SharedSDPNetwork._forward_fused`)."""
         timesteps = timesteps if timesteps is not None else self.config.timesteps
         states = np.atleast_2d(np.asarray(states, dtype=np.float64))
         batch = states.shape[0]
-        tape = self._ensure_train_tape(batch, timesteps)
+        tape = getattr(self, "_train_tape", None) if train else None
+        if tape is None or (tape.batch, tape.timesteps) != (batch, timesteps):
+            lif, layer_tapes = _layer_tapes(self.stack, batch, timesteps, train, record)
+            tape = SDPTrainTape(
+                lif=lif,
+                layer_tapes=layer_tapes,
+                encoder=self.encoder.make_buffers(batch, timesteps),
+                decoder=self.decoder.make_train_tape(batch),
+                sum_spikes=np.empty((batch, self.stack.out_features)),
+                batch=batch,
+                timesteps=timesteps,
+            )
+            if train:
+                self._train_tape = tape
         tape.spike_trains = self.encoder.encode_buffered(
             states, timesteps, tape.encoder
         )
-        for lt in tape.layer_tapes:
-            lt.lif.begin()
-        for t in range(1, timesteps + 1):
-            spikes = self.stack.step_train(tape.spike_trains[t - 1], tape.layer_tapes, t)
-            if t == 1:
-                np.copyto(tape.sum_spikes, spikes)
-            else:
-                np.add(tape.sum_spikes, spikes, out=tape.sum_spikes)
-        return self.decoder.decode_train(tape.sum_spikes, timesteps, tape.decoder)
+        _unroll(
+            self.stack.layers, "step_train" if train else "step_inference",
+            tape.lif, tape.spike_trains, tape.sum_spikes,
+        )
+        self.decoder.decode_train(tape.sum_spikes, timesteps, tape.decoder)
+        return tape
 
     def policy_backward_fused(self, grad_action: np.ndarray) -> None:
         """Analytic backward of :meth:`policy_forward_fused`; accumulates
@@ -701,53 +726,6 @@ class SDPNetwork(Module):
             sum_spikes = spikes if sum_spikes is None else sum_spikes + spikes
 
         action = self.decoder(sum_spikes, timesteps)
-
-        activity = None
-        if record:
-            neuron_updates = [
-                float(layer.out_features * timesteps * batch)
-                for layer in self.stack.layers
-            ]
-            activity = ActivityRecord(
-                timesteps=timesteps,
-                batch_size=batch,
-                input_spikes=input_total,
-                layer_spikes=layer_spikes,
-                synaptic_ops=synaptic_ops,
-                neuron_updates=neuron_updates,
-            )
-        return action, activity
-
-    def _run_inference(
-        self, states: np.ndarray, timesteps: Optional[int], record: bool
-    ) -> Tuple[np.ndarray, Optional[ActivityRecord]]:
-        timesteps = timesteps if timesteps is not None else self.config.timesteps
-        states = np.atleast_2d(np.asarray(states, dtype=np.float64))
-        batch = states.shape[0]
-
-        spike_trains = self.encoder.encode(states, timesteps)  # (T, B, N)
-        buffer_states = self.stack.make_inference_states(batch)
-
-        sum_spikes = np.zeros((batch, self.stack.out_features))
-        layer_spikes = [0.0] * len(self.stack.layers)
-        synaptic_ops = [0.0] * len(self.stack.layers)
-        input_total = 0.0
-
-        for t in range(timesteps):
-            spikes = spike_trains[t]
-            if record:
-                input_total += float(spikes.sum())
-            for k, (layer, state) in enumerate(
-                zip(self.stack.layers, buffer_states)
-            ):
-                if record:
-                    synaptic_ops[k] += float(spikes.sum()) * layer.out_features
-                spikes = layer.step_inference(spikes, state)
-                if record:
-                    layer_spikes[k] += float(spikes.sum())
-            sum_spikes += spikes
-
-        action = self.decoder.decode_inference(sum_spikes, timesteps)
 
         activity = None
         if record:

@@ -121,109 +121,64 @@ def lif_step(
 
 
 @dataclass
-class LIFInferenceState:
-    """Preallocated numpy ``c``/``v``/``o`` buffers for the fused
-    inference kernel.
-
-    One set of buffers carries a whole ``T``-step unroll: every
-    :func:`lif_step_inference` updates them in place, so the unroll
-    allocates nothing per step (beyond the synaptic drive the caller
-    computes).  ``scratch`` holds the transient ``1 − o`` gating term.
-    """
-
-    current: np.ndarray
-    voltage: np.ndarray
-    spikes: np.ndarray
-    scratch: np.ndarray
-
-    @classmethod
-    def zeros(cls, shape: Tuple[int, ...]) -> "LIFInferenceState":
-        return cls(
-            current=np.zeros(shape),
-            voltage=np.zeros(shape),
-            spikes=np.zeros(shape),
-            scratch=np.empty(shape),
-        )
-
-
-def lif_step_inference(
-    synaptic_input: np.ndarray,
-    state: LIFInferenceState,
-    params: LIFParameters,
-) -> np.ndarray:
-    """Fused pure-numpy LIF step for inference (no autograd graph).
-
-    Performs exactly the elementwise operations of :func:`lif_step`, in
-    the same order, but in place on the preallocated buffers — so the
-    emitted spikes are bit-identical to the graph path while allocating
-    no graph nodes and no intermediate arrays.
-
-    Returns ``state.spikes`` (the in-place-updated ``o`` buffer).
-    """
-    c, v, o = state.current, state.voltage, state.spikes
-    # c(t) = dc · c(t−1) + I(t)
-    np.multiply(c, params.current_decay, out=c)
-    np.add(c, synaptic_input, out=c)
-    # v(t) = dv · v(t−1) · (1 − o(t−1)) + c(t)
-    np.multiply(v, params.voltage_decay, out=v)
-    np.subtract(1.0, o, out=state.scratch)
-    np.multiply(v, state.scratch, out=v)
-    np.add(v, c, out=v)
-    # o(t) = 1[v(t) > V_th]; unsafe casting writes the bool result
-    # straight into the float buffer (True → 1.0, same as astype).
-    np.greater(v, params.v_threshold, out=o, casting="unsafe")
-    return o
-
-
-@dataclass
 class LIFTrainTape:
-    """Compact static tape of one ``T``-step LIF unroll for training.
+    """Static tape of one fused ``T``-step LIF unroll.
 
-    The fused STBP fast path records, per timestep, only what the
-    analytic backward needs — the membrane voltage (for the surrogate
-    window and the reset-gate gradient) and the emitted spikes (for the
-    ``1 − o`` gate and as the next layer's input).  Slice ``0`` of the
-    ``voltage``/``spikes`` arrays holds the zero initial state and is
-    never written, so :func:`lif_backward_step` can treat ``t − 1``
-    uniformly.
+    The fused forward records, per timestep, only what the analytic
+    backward needs — the membrane voltage (for the surrogate window and
+    the reset-gate gradient) and the emitted spikes (for the ``1 − o``
+    gate and as the next layer's input) — in a ring of ``depth`` slices:
+    step ``t`` reads slice ``(t − 1) % depth`` and writes ``t % depth``.
 
-    All buffers are preallocated once and reused across train steps:
-    neither the forward unroll (:func:`lif_step_train`) nor the backward
-    replay (:func:`lif_backward_step`) allocates.
+    * ``depth = T + 1`` keeps every step (training, activity counts).
+      Slice ``0`` holds the zero initial state and is never written, so
+      :func:`lif_backward_step` can treat ``t − 1`` uniformly.
+    * ``depth = 1`` updates ``v``/``o`` in place (plain inference).  It
+      is exact because ``o(t − 1)`` is read into ``scratch`` before
+      ``o(t)`` is written.  Slice ``0`` is overwritten every step, so a
+      one-slice tape serves a single unroll.
+
+    All buffers are preallocated: the unroll (:func:`lif_step_train`)
+    allocates nothing.  The backward carries live in
+    :class:`LIFCarries`, allocated only with a train tape.
     """
 
-    voltage: np.ndarray    # (T+1, batch, n) recorded v(t); index 0 = initial 0
-    spikes: np.ndarray     # (T+1, batch, n) recorded o(t); index 0 = initial 0
+    voltage: np.ndarray    # (depth, batch, n) ring of recorded v(t)
+    spikes: np.ndarray     # (depth, batch, n) ring of recorded o(t)
     current: np.ndarray    # (batch, n) running synaptic current c(t)
     drive: np.ndarray      # (batch, n) scratch for the weighted input I(t)
     scratch: np.ndarray    # (batch, n) transient terms (gate, surrogate, ...)
-    g_voltage: np.ndarray  # (batch, n) carry: dL/dv flowing back from t+1
-    g_current: np.ndarray  # (batch, n) carry: dL/dc (doubles as dL/dI(t))
-    g_gate: np.ndarray     # (batch, n) carry: dL/do(t) from the t+1 reset gate
-    g_spikes: np.ndarray   # (batch, n) scratch: total dL/do(t)
-    timesteps: int
 
     @classmethod
-    def zeros(cls, timesteps: int, shape: Tuple[int, ...]) -> "LIFTrainTape":
-        if timesteps <= 0:
-            raise ValueError(f"timesteps must be positive, got {timesteps}")
+    def zeros(cls, depth: int, shape: Tuple[int, ...]) -> "LIFTrainTape":
+        if depth <= 0:
+            raise ValueError(f"depth must be positive, got {depth}")
         return cls(
-            voltage=np.zeros((timesteps + 1,) + shape),
-            spikes=np.zeros((timesteps + 1,) + shape),
+            voltage=np.zeros((depth,) + shape),
+            spikes=np.zeros((depth,) + shape),
             current=np.zeros(shape),
             drive=np.empty(shape),
             scratch=np.empty(shape),
-            g_voltage=np.empty(shape),
-            g_current=np.empty(shape),
-            g_gate=np.empty(shape),
-            g_spikes=np.empty(shape),
-            timesteps=timesteps,
         )
 
     def begin(self) -> None:
         """Reset the running state ahead of a fresh unroll (slices 0 of
-        the recorded arrays stay zero by construction)."""
+        a ``T + 1`` tape stay zero by construction)."""
         self.current.fill(0.0)
+
+
+@dataclass
+class LIFCarries:
+    """Recurrent gradient buffers of one LIF backward replay."""
+
+    g_voltage: np.ndarray  # (batch, n) carry: dL/dv flowing back from t+1
+    g_current: np.ndarray  # (batch, n) carry: dL/dc (doubles as dL/dI(t))
+    g_gate: np.ndarray     # (batch, n) carry: dL/do(t) from the t+1 reset gate
+    g_spikes: np.ndarray   # (batch, n) scratch: total dL/do(t)
+
+    @classmethod
+    def empty(cls, shape: Tuple[int, ...]) -> "LIFCarries":
+        return cls(*(np.empty(shape) for _ in range(4)))
 
 
 def lif_step_train(
@@ -235,24 +190,28 @@ def lif_step_train(
     """Fused LIF forward step ``t`` (1-based) that records onto ``tape``.
 
     Performs the exact elementwise operations of :func:`lif_step`, in
-    the same order, writing ``v(t)``/``o(t)`` into the tape's
-    per-timestep slices — so the unroll is bit-identical to the
-    closure-graph path while allocating nothing.
+    the same order, reading slice ``(t − 1) % depth`` of the tape's
+    ``voltage``/``spikes`` and writing slice ``t % depth`` — so the
+    unroll is bit-identical to the closure-graph path while allocating
+    nothing.
 
-    Returns ``tape.spikes[t]`` (valid until the tape is reused).
+    Returns the spikes slice just written (valid until the tape is
+    reused, or until the next step of a one-slice tape).
     """
+    depth = len(tape.voltage)
     c = tape.current
     # c(t) = dc · c(t−1) + I(t)
     np.multiply(c, params.current_decay, out=c)
     np.add(c, synaptic_input, out=c)
     # v(t) = dv · v(t−1) · (1 − o(t−1)) + c(t)
-    v = tape.voltage[t]
-    np.multiply(tape.voltage[t - 1], params.voltage_decay, out=v)
-    np.subtract(1.0, tape.spikes[t - 1], out=tape.scratch)
+    v = tape.voltage[t % depth]
+    np.multiply(tape.voltage[(t - 1) % depth], params.voltage_decay, out=v)
+    np.subtract(1.0, tape.spikes[(t - 1) % depth], out=tape.scratch)
     np.multiply(v, tape.scratch, out=v)
     np.add(v, c, out=v)
-    # o(t) = 1[v(t) > V_th]
-    o = tape.spikes[t]
+    # o(t) = 1[v(t) > V_th]; unsafe casting writes the bool result
+    # straight into the float buffer (True → 1.0, same as astype).
+    o = tape.spikes[t % depth]
     np.greater(v, params.v_threshold, out=o, casting="unsafe")
     return o
 
@@ -260,6 +219,7 @@ def lif_step_train(
 def lif_backward_step(
     grad_spikes: np.ndarray,
     tape: LIFTrainTape,
+    carries: LIFCarries,
     params: LIFParameters,
     surrogate: SurrogateGradient,
     t: int,
@@ -267,7 +227,8 @@ def lif_backward_step(
     """Analytic BPTT backward through LIF step ``t`` (call t = T..1).
 
     ``grad_spikes`` is the downstream gradient into ``o(t)`` (from the
-    next layer's synapses and/or the rate readout); the tape's
+    next layer's synapses and/or the rate readout); ``tape`` is the
+    ``T + 1``-slice forward recording and ``carries``'
     ``g_voltage``/``g_current``/``g_gate`` buffers carry the recurrent
     terms from step ``t + 1``:
 
@@ -279,43 +240,43 @@ def lif_backward_step(
 
     with the spike surrogate ``do/dv = z(v)`` closing the loop.  Every
     operation mirrors an op of the closure-graph backward (same inputs,
-    same order), so the returned ``dL/dI(t)`` — ``tape.g_current``,
+    same order), so the returned ``dL/dI(t)`` — ``carries.g_current``,
     valid until the next call — is bit-identical to the graph path.
     ``grad_spikes`` is never mutated.
     """
-    last = t == tape.timesteps
+    last = t == len(tape.voltage) - 1
     v = tape.voltage[t]
     # Total dL/do(t): reset-gate carry (arrives first in the graph's
     # reverse-topological order) plus the downstream gradient.
     if last:
         g_o = grad_spikes
     else:
-        np.add(tape.g_gate, grad_spikes, out=tape.g_spikes)
-        g_o = tape.g_spikes
+        np.add(carries.g_gate, grad_spikes, out=carries.g_spikes)
+        g_o = carries.g_spikes
     # Spike op: dL/dv(t) += g_o · z(v(t))  (surrogate, eq. (11)).
     surrogate.into(v, params.v_threshold, out=tape.scratch)
     if last:
-        np.multiply(g_o, tape.scratch, out=tape.g_voltage)
+        np.multiply(g_o, tape.scratch, out=carries.g_voltage)
     else:
         np.multiply(g_o, tape.scratch, out=tape.scratch)
-        np.add(tape.g_voltage, tape.scratch, out=tape.g_voltage)
+        np.add(carries.g_voltage, tape.scratch, out=carries.g_voltage)
     # v(t) = ... + c(t) is an identity edge into c(t); add the c(t+1)
     # decay carry (graph order: carry first, then the voltage term).
     if last:
-        np.copyto(tape.g_current, tape.g_voltage)
+        np.copyto(carries.g_current, carries.g_voltage)
     else:
-        np.multiply(tape.g_current, params.current_decay, out=tape.g_current)
-        np.add(tape.g_current, tape.g_voltage, out=tape.g_current)
+        np.multiply(carries.g_current, params.current_decay, out=carries.g_current)
+        np.add(carries.g_current, carries.g_voltage, out=carries.g_current)
     # Carries for step t−1 through the reset gate
     # v(t) = dv · v(t−1) · (1 − o(t−1)) + c(t).
     if t > 1:
         np.multiply(tape.voltage[t - 1], params.voltage_decay, out=tape.scratch)
-        np.multiply(tape.g_voltage, tape.scratch, out=tape.g_gate)
-        np.negative(tape.g_gate, out=tape.g_gate)
+        np.multiply(carries.g_voltage, tape.scratch, out=carries.g_gate)
+        np.negative(carries.g_gate, out=carries.g_gate)
         np.subtract(1.0, tape.spikes[t - 1], out=tape.scratch)
-        np.multiply(tape.g_voltage, tape.scratch, out=tape.g_voltage)
-        np.multiply(tape.g_voltage, params.voltage_decay, out=tape.g_voltage)
-    return tape.g_current
+        np.multiply(carries.g_voltage, tape.scratch, out=carries.g_voltage)
+        np.multiply(carries.g_voltage, params.voltage_decay, out=carries.g_voltage)
+    return carries.g_current
 
 
 def integrate_and_fire_rate(

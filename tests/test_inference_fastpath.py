@@ -23,6 +23,7 @@ from repro.autograd import (
 from repro.data import MarketGenerator
 from repro.envs import Backtester, ObservationConfig
 from repro.snn import (
+    LIFTrainTape,
     SDPConfig,
     SDPNetwork,
     SharedSDPConfig,
@@ -146,17 +147,20 @@ class TestSpikeFunctionLazySurrogate:
 
 class TestFusedKernelParity:
     def test_lif_step_inference_matches_graph(self):
+        """The one-slice (in-place) case of the fused kernel, per step."""
         rng = np.random.default_rng(3)
         layer = SpikingLinear(8, 8, rng=rng)
-        inf = layer.make_inference_state(4)
+        tape = LIFTrainTape.zeros(1, (4, 8))
+        tape.begin()
         layer.reset(4)
         spikes_in = (rng.random((4, 8)) > 0.5).astype(np.float64)
-        for _ in range(6):
+        for t in range(1, 7):
             graph_out = layer.step(Tensor(spikes_in))
-            fused_out = layer.step_inference(spikes_in, inf)
+            fused_out = layer.step_inference(spikes_in, tape, t)
             assert np.array_equal(graph_out.data, fused_out)
-            assert np.array_equal(layer.state.current.data, inf.current)
-            assert np.array_equal(layer.state.voltage.data, inf.voltage)
+            assert np.array_equal(layer.state.spikes.data, tape.spikes[0])
+            assert np.array_equal(layer.state.current.data, tape.current)
+            assert np.array_equal(layer.state.voltage.data, tape.voltage[0])
             spikes_in = graph_out.data
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -192,8 +196,48 @@ class TestFusedKernelParity:
         net = small_shared_network()
         feats = np.random.default_rng(6).uniform(-1, 1, (2, 4, 5))
         first = net.forward_inference(feats)
+        kept = first.copy()
         second = net.forward_inference(feats)
         assert np.array_equal(first, second)
+        # The caller owns each result: a call on other input leaves it be.
+        other = net.forward_inference(
+            np.random.default_rng(16).uniform(-1, 1, (2, 4, 5))
+        )
+        assert not np.array_equal(other, kept)
+        assert np.array_equal(first, kept)
+
+    @pytest.mark.parametrize("architecture", ["shared", "monolithic"])
+    def test_inference_between_train_forward_and_backward(
+        self, architecture
+    ):
+        """forward_inference must not touch the train tape: a call between
+        policy_forward_fused and policy_backward_fused leaves every
+        accumulated gradient bit-identical."""
+        rng = np.random.default_rng(17)
+        if architecture == "shared":
+            make, shape = small_shared_network, (3, 4, 5)
+        else:
+            make, shape = small_sdp_network, (3, 6)
+        x, other = rng.uniform(-1, 1, shape), rng.uniform(-1, 1, shape)
+        grad_action = rng.standard_normal((3, 5 if architecture == "shared" else 4))
+
+        def grads(interleave):
+            net = make()
+            net.zero_grad()
+            action = net.policy_forward_fused(x).copy()
+            if interleave:
+                net.forward_inference(other)
+                net.forward_inference_with_activity(other, timesteps=3)
+            net.policy_backward_fused(grad_action)
+            return action, [p.grad.copy() for p in net.parameters()]
+
+        action, reference = grads(False)
+        interleaved_action, interleaved = grads(True)
+        assert np.array_equal(action, interleaved_action)
+        assert len(reference) == len(interleaved)
+        for ref, got in zip(reference, interleaved):
+            assert np.array_equal(ref, got)
+        assert any(np.abs(g).sum() > 0 for g in reference)
 
     def test_timesteps_override(self):
         net = small_sdp_network()

@@ -83,7 +83,7 @@ def test_spiking_linear_fused_backward_matches_graph():
     tape.lif.begin()
     fused_out = np.zeros((batch, n_out))
     for t in range(1, timesteps + 1):
-        spikes = layer.step_train(trains[t - 1], tape, t)
+        spikes = layer.step_train(trains[t - 1], tape.lif, t)
         np.add(fused_out, spikes, out=fused_out)
     assert np.array_equal(fused_out, total.data)
     for t in range(timesteps, 0, -1):
@@ -116,7 +116,7 @@ def test_spiking_linear_fused_input_grad_matches_graph():
     tape = layer.make_train_tape(batch, timesteps)
     tape.lif.begin()
     for t in range(1, timesteps + 1):
-        layer.step_train(trains[t - 1], tape, t)
+        layer.step_train(trains[t - 1], tape.lif, t)
     fused_in = {}
     for t in range(timesteps, 0, -1):
         g_in = layer.backward_step_train(g_out, trains[t - 1], tape, t,
@@ -146,7 +146,7 @@ def test_lif_params_propagate_through_fused_backward():
     tape = layer.make_train_tape(6, 3)
     tape.lif.begin()
     for t in range(1, 4):
-        layer.step_train(trains[t - 1], tape, t)
+        layer.step_train(trains[t - 1], tape.lif, t)
     for t in range(3, 0, -1):
         layer.backward_step_train(g_out, trains[t - 1], tape, t,
                                   need_input_grad=False)
