@@ -1287,26 +1287,13 @@ class PortfolioService:
         with self._lock:
             session = self._session(session_id)
             state: Dict[str, Any] = {
-                "next_t": session.next_t,
-                "start": session.start,
-                "decisions": session.decisions,
-                "w_prev": [float(w) for w in session.w_prev],
                 "observation": encode_tagged(session.observation),
                 # Denormalised so a store can describe evicted sessions
                 # without loading their (large) market panel.
                 "n_assets": session.data.n_assets,
                 "last_t": session.data.n_periods - 2,
+                **self._mutable_state(session),
             }
-            if session.risk_w_drifted is not None:
-                state["risk"] = {
-                    "value": float(session.risk_value),
-                    "w_drifted": [float(w) for w in session.risk_w_drifted],
-                    "lockout": (
-                        session.lockout.to_json_dict()
-                        if session.lockout is not None
-                        else None
-                    ),
-                }
             weights = None
             network = getattr(session.agent, "network", None)
             if network is not None and hasattr(network, "state_dict"):
@@ -1324,6 +1311,35 @@ class PortfolioService:
                 "state": state,
                 "weights": weights,
             }
+
+    def export_session_state(self, session_id: str) -> Dict[str, Any]:
+        """The part of :meth:`export_session`'s ``state`` that a
+        committed round changes — cursor, anchor, decision count,
+        weights and guardrail book, all JSON-ready.  Laid over the
+        session's stored snapshot it gives the current ``state``; the
+        serving journal records one of these per session per batch."""
+        with self._lock:
+            return self._mutable_state(self._session(session_id))
+
+    @staticmethod
+    def _mutable_state(session: _Session) -> Dict[str, Any]:
+        state: Dict[str, Any] = {
+            "next_t": session.next_t,
+            "start": session.start,
+            "decisions": session.decisions,
+            "w_prev": [float(w) for w in session.w_prev],
+        }
+        if session.risk_w_drifted is not None:
+            state["risk"] = {
+                "value": float(session.risk_value),
+                "w_drifted": [float(w) for w in session.risk_w_drifted],
+                "lockout": (
+                    session.lockout.to_json_dict()
+                    if session.lockout is not None
+                    else None
+                ),
+            }
+        return state
 
     def import_session(
         self, payload: Mapping[str, Any], data: Optional[MarketData] = None

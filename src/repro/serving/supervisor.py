@@ -12,15 +12,21 @@ service (``rebalance`` / ``rebalance_many`` / ``create_session`` /
 
 Robustness model
 ----------------
-*Write-through persistence.*  After every committed batch the worker
-writes each touched session's :meth:`~repro.serving.PortfolioService.export_session`
-payload to a :class:`~repro.serving.SessionStateStore` (an atomic JSON
-record; weights land once per agent).  A worker crash therefore loses
+*Write-through persistence.*  A created session is snapshotted to a
+:class:`~repro.serving.SessionStateStore` (its
+:meth:`~repro.serving.PortfolioService.export_session` payload; weights
+land once per agent).  After every committed batch the worker appends
+one record to its journal, ``journal/<worker-index>.log``, holding each
+touched session's
+:meth:`~repro.serving.PortfolioService.export_session_state`, with one
+write and one fsync before it replies.  A worker crash therefore loses
 **at most the round in flight** — and not even that, observably: the
 round never committed anywhere, and the supervisor replays it against a
-restarted worker, which rehydrates each session lazily from the store
-and recomputes the identical decisions.  Sessions on the crashed worker
-that were *not* in flight lose nothing at all.
+restarted worker, which replays its journal into memory, rehydrates
+each session lazily from snapshot + journal and recomputes the
+identical decisions.  Sessions on the crashed worker that were *not* in
+flight lose nothing at all.  The supervisor compacts leftover journals
+into the snapshots when it opens the store, before any worker starts.
 
 *Crash detection.*  Two paths: the dispatch path sees the broken pipe
 the moment a send/recv fails, and a heartbeat monitor thread polls
@@ -33,13 +39,14 @@ replay.
 
 *Graceful drain.*  :meth:`drain` stops admission (new work gets a
 structured :class:`Draining` → HTTP 503), waits for in-flight batches
-to flush, then asks each worker to write every resident session
-through to the store and exit with code 0.  The store is the one
-on-disk format for serving state — the supervisor writes its
-``service.json`` when it opens it — so a drained ``state_dir`` both
-resumes a restarted supervisor and loads directly with
-:meth:`~repro.serving.PortfolioService.load_checkpoint` (or
-``serve --checkpoint``).
+to flush, then asks each worker to compact its journal into the
+session snapshots and exit with code 0 (and compacts whatever a dead
+worker left).  The store is the one on-disk format for serving state —
+the supervisor writes its ``service.json`` when it opens it — so a
+drained ``state_dir`` both resumes a restarted supervisor and loads
+directly with :meth:`~repro.serving.PortfolioService.load_checkpoint`
+(or ``serve --checkpoint``); so does an undrained one, since every read
+lays the journal over the snapshots.
 
 *Load shedding.*  ``max_pending`` bounds the front's in-flight request
 count: past it, a request is shed with :class:`LoadShed` (a
@@ -175,10 +182,10 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
     """One worker process: a PortfolioService shard behind a pipe.
 
     Commands arrive as tuples; every reply is ``("ok", payload)`` or
-    ``("error", exception)``.  Per-session state is written through to
-    the store after each committed command, so the process can die at
-    any instruction and the supervisor recovers everything but the
-    round in flight (which it replays).
+    ``("error", exception)``.  A created session is snapshotted and
+    every committed batch is journaled (fsynced) before the reply, so
+    the process can die at any instruction and the supervisor recovers
+    everything but the round in flight (which it replays).
     """
     for other in list(_PARENT_CONNS):
         try:
@@ -193,6 +200,7 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
         pass
 
     store = SessionStateStore(config.state_dir, max_resident=config.max_resident)
+    store.open_journal(config.index)
     injector = injector_from(config.fault_plan)
     service = PortfolioService(
         registry=config.registry,
@@ -204,9 +212,6 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
     )
     rehydrated = 0
     evicted_count = 0
-
-    def persist(session_id: str) -> None:
-        store.save_session(service.export_session(session_id))
 
     def ensure_market(name: str) -> None:
         if name not in service.market_names():
@@ -254,7 +259,7 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
                     reply = service.describe_session(session_id)
                 else:
                     reply = service.create_session(**kwargs)
-                    persist(session_id)
+                    store.save_session(service.export_session(session_id))
                     store.touch(session_id)
                 evict_overflow()
             elif command == "rebalance":
@@ -270,14 +275,18 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
                     config.index, batch_id
                 ):
                     # Die *after* the in-memory commit, *before* the
-                    # write-through — the worst-case crash point: the
+                    # journal append — the worst-case crash point: the
                     # round's state exists nowhere durable.  The
                     # supervisor replays the batch on a fresh worker,
                     # which recomputes it bit-identically from the
                     # store's last committed state.
                     os._exit(_CRASH_EXIT)
-                for session_id in batch_ids:
-                    persist(session_id)
+                store.append(
+                    {
+                        session_id: service.export_session_state(session_id)
+                        for session_id in batch_ids
+                    }
+                )
                 evict_overflow()
                 reply = responses
             elif command == "describe":
@@ -290,10 +299,10 @@ def _worker_main(conn, config: _WorkerConfig) -> None:
                     "evicted": evicted_count,
                 }
             elif command == "drain":
-                session_ids = service.session_ids()
-                for session_id in session_ids:
-                    persist(session_id)
-                conn.send(("ok", len(session_ids)))
+                # Resident sessions are already snapshot + journal; the
+                # compaction folds in the evicted ones too.
+                checkpointed = set(service.session_ids()) | set(store.compact())
+                conn.send(("ok", len(checkpointed)))
                 return  # normal return → exit code 0, the drain contract
             else:
                 raise ValueError(f"unknown worker command {command!r}")
@@ -441,6 +450,10 @@ class ServingSupervisor:
         self._fault_plan = injector.plan if injector is not None else None
         self.store = SessionStateStore(state_dir)
         self.store.save_service(commission)
+        # Fold what earlier workers journaled into the snapshots before
+        # any worker starts, so each session is in at most one journal
+        # even if the worker count changed.
+        self.store.compact()
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
         self.max_pending = max_pending
         self.worker_timeout = worker_timeout
@@ -1027,6 +1040,8 @@ class ServingSupervisor:
                 worker.close()
                 checkpointed += entry["checkpointed"]
                 workers_report.append(entry)
+        # A worker that died instead of draining left its journal.
+        checkpointed += len(self.store.compact())
         report = {
             "sessions": len(self.session_ids()),
             "sessions_checkpointed": checkpointed,

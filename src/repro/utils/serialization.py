@@ -33,6 +33,12 @@ PathLike = Union[str, Path]
 # first, then ``os.replace`` publishes it in one step.  A reader (or a
 # resume scan) therefore never sees a torn half-written npz/json — it
 # sees either the old file, no file, or the complete new file.
+#
+# "Atomic" means safe against a *process* crash, not a power loss:
+# nothing is fsynced, so after an OS crash the kernel may not have
+# written the new file's data (or its rename) to disk yet.  Only
+# ``save_json(..., durable=True)`` fsyncs the file before publishing it
+# and the directory after, for callers that must outlive a power loss.
 
 
 def _atomic_replace(path: Path, tmp: Path) -> None:
@@ -76,17 +82,36 @@ def _coerce(value: Any) -> Any:
     return value
 
 
-def save_json(path: PathLike, payload: Dict[str, Any]) -> None:
-    """Write a JSON result file atomically, coercing numpy types."""
+def fsync_directory(path: PathLike) -> None:
+    """Make the entries of directory ``path`` (creations, renames) durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def save_json(path: PathLike, payload: Dict[str, Any], durable: bool = False) -> None:
+    """Write a JSON result file atomically, coercing numpy types.
+
+    ``durable=True`` also fsyncs the file before it replaces ``path``
+    and the directory after, so the new content survives a power loss.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(json.dumps(_coerce(payload), indent=2, sort_keys=True))
+        with open(tmp, "w") as handle:
+            handle.write(json.dumps(_coerce(payload), indent=2, sort_keys=True))
+            if durable:
+                handle.flush()
+                os.fsync(handle.fileno())
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     _atomic_replace(path, tmp)
+    if durable:
+        fsync_directory(path.parent)
 
 
 def load_json(path: PathLike) -> Dict[str, Any]:

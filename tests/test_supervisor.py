@@ -4,11 +4,14 @@ Covers the :class:`~repro.serving.ServingSupervisor` contracts: market-
 hash routing, single-worker bit-parity with the in-process service,
 crash-mid-batch failover with replay, heartbeat healing of idle deaths,
 graceful drain (zero committed responses lost, store continuity across
-a restart), LRU eviction + lazy rehydration, priority load shedding,
-and the HTTP front's supervisor-aware routes.
+a restart, undrained state dirs), LRU eviction + lazy rehydration,
+priority load shedding, the store's journal (crash points, torn tails,
+compaction), and the HTTP front's supervisor-aware routes.
 """
 
 import json
+import os
+import shutil
 import threading
 import time
 import urllib.error
@@ -29,6 +32,7 @@ from repro.serving import (
     ServingSupervisor,
     SessionStateStore,
 )
+from repro.serving import store as store_mod
 from repro.utils.rng import stable_hash
 
 
@@ -294,6 +298,72 @@ class TestDrainAndResume:
         assert supervised + continued == json_rounds(service, requests, rounds=6)
 
 
+    def test_drain_counts_evicted_sessions(self, tmp_path, market):
+        """Sessions evicted under ``max_resident`` are checkpointed by
+        the drain too, and the report says so."""
+        sup, name0, _ = make_supervisor(
+            tmp_path, market, workers=1, max_resident=1
+        )
+        with sup:
+            for sid in ("a", "b", "c"):
+                sup.create_session(sid, "ons", market=name0)
+            sup.rebalance_many([RebalanceRequest(s) for s in ("a", "b", "c")])
+            report = sup.drain(timeout=30.0)
+        assert report["sessions"] == 3
+        assert report["sessions_checkpointed"] == 3
+        restored = PortfolioService.load_checkpoint(tmp_path / "state")
+        assert [i.decisions for i in restored.describe_sessions()] == [1, 1, 1]
+
+    def test_undrained_state_dir_loads_like_drained(
+        self, tmp_path, market, config
+    ):
+        """A supervisor closed without a drain leaves a ``state_dir``
+        whose ``load_checkpoint`` continues bit-identically to the same
+        directory after a drain — and to an uninterrupted run, also
+        when a supervisor with another worker count resumes it."""
+        risk = risk_regime_preset("lockout")
+        sdp = dict(observation=config.observation, hidden_sizes=(16,),
+                   timesteps=2, seed=config.agent_seed)
+        specs = [("a", "sdp", sdp), ("b", "sdp", sdp), ("c", "ons", {})]
+        requests = [RebalanceRequest(sid) for sid, _, _ in specs]
+        # name1's sessions live on worker 1 of 2, but on worker 0 of 1.
+        sup, _, name1 = make_supervisor(
+            tmp_path, market, market, workers=2, risk=risk.build_engine()
+        )
+        with sup:
+            for sid, strategy, params in specs:
+                sup.create_session(sid, strategy, params=params, market=name1)
+            supervised = json_rounds(sup, requests, rounds=3)
+        state = tmp_path / "state"
+        copy = tmp_path / "copy"
+        shutil.copytree(state, copy)
+
+        undrained = PortfolioService.load_checkpoint(
+            state, risk=risk.build_engine()
+        )
+        from_undrained = json_rounds(undrained, requests, rounds=3)
+
+        with ServingSupervisor(
+            copy, workers=1, risk=risk.build_engine()
+        ) as resumed:
+            assert json_rounds(resumed, requests, rounds=3) == from_undrained
+
+        with ServingSupervisor(state, workers=2) as resumed:
+            resumed.drain(timeout=30.0)
+        drained = PortfolioService.load_checkpoint(
+            state, risk=risk.build_engine()
+        )
+        assert json_rounds(drained, requests, rounds=3) == from_undrained
+
+        service = PortfolioService(risk=risk.build_engine())
+        service.register_market(name1, market)
+        for sid, strategy, params in specs:
+            service.create_session(sid, strategy, params=params, market=name1)
+        assert supervised + from_undrained == json_rounds(
+            service, requests, rounds=6
+        )
+
+
 class TestResidency:
     def test_lru_eviction_rehydrates_bit_identically(
         self, tmp_path, market
@@ -327,6 +397,30 @@ class TestResidency:
             reference.append(service.rebalance("a").to_json_dict())
             reference.append(service.rebalance("b").to_json_dict())
         assert supervised == reference
+
+
+    def test_describe_reports_evicted_sessions_committed_state(
+        self, tmp_path, market
+    ):
+        sup, name0, _ = make_supervisor(
+            tmp_path, market, workers=1, max_resident=1
+        )
+        service = PortfolioService()
+        service.register_market(name0, market)
+        with sup:
+            for front in (sup, service):
+                for sid in ("a", "b", "c"):
+                    front.create_session(sid, "ons", market=name0)
+                for _ in range(3):
+                    front.rebalance_many(
+                        [RebalanceRequest(s) for s in ("a", "b", "c")]
+                    )
+                front.rebalance("c")
+            described = sup.describe_sessions()
+            detail = sup.stats_dict()["workers"][0]["detail"]
+        assert detail["resident_sessions"] == 1  # a and b come from the store
+        assert described == service.describe_sessions()
+        assert [i.decisions for i in described] == [3, 3, 4]
 
 
 class TestLoadShedding:
@@ -402,6 +496,115 @@ class TestSessionStateStore:
         state_file.write_text("{ not json")
         with pytest.raises(CheckpointCorrupt):
             store.load_session("s!/1")
+
+    @staticmethod
+    def _journaled(tmp_path, market):
+        """Two stored sessions and the journal entries of two batches."""
+        service = PortfolioService()
+        service.register_market("m", market)
+        store = SessionStateStore(tmp_path)
+        for sid in ("a", "b"):
+            service.create_session(sid, "ons", market="m")
+            store.save_session(service.export_session(sid))
+        batches = []
+        for _ in range(2):
+            service.rebalance_many([RebalanceRequest("a"), RebalanceRequest("b")])
+            batches.append(
+                {sid: service.export_session_state(sid) for sid in ("a", "b")}
+            )
+        return batches
+
+    @staticmethod
+    def _assert_holds(store, batch):
+        for sid, entry in batch.items():
+            state = store.load_session_record(sid)["state"]
+            assert {key: state[key] for key in entry} == entry
+
+    @pytest.mark.parametrize(
+        "point", ["before_append", "torn_record", "after_fsync"]
+    )
+    def test_crash_points(self, tmp_path, market, point):
+        """A writer killed before an append, mid-record or right after
+        its fsync: the reopened store holds the previous, the previous
+        and this batch respectively."""
+        first, second = self._journaled(tmp_path, market)
+        pid = os.fork()
+        if pid == 0:  # the writer; every path ends in os._exit
+            try:
+                writer = SessionStateStore(tmp_path)
+                writer.open_journal(0)
+                writer.append(first)
+                if point == "before_append":
+                    os._exit(0)
+                if point == "torn_record":
+                    write = os.write
+
+                    def torn(fd, data):
+                        write(fd, data[: len(data) // 2])
+                        os._exit(0)
+
+                    os.write = torn
+                else:
+                    fsync = os.fsync
+
+                    def fsync_then_die(fd):
+                        fsync(fd)
+                        os._exit(0)
+
+                    os.fsync = fsync_then_die
+                writer.append(second)
+            finally:
+                os._exit(1)
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+
+        journal = tmp_path / "journal" / "0.log"
+        expected = second if point == "after_fsync" else first
+        self._assert_holds(SessionStateStore(tmp_path), expected)
+        if point != "torn_record":
+            return
+        torn_size = journal.stat().st_size
+        writer = SessionStateStore(tmp_path)
+        writer.open_journal(0)  # truncates the torn tail
+        assert journal.stat().st_size < torn_size
+        writer.append(second)
+        self._assert_holds(SessionStateStore(tmp_path), second)
+
+    def test_bad_record_before_the_tail_is_corrupt(self, tmp_path, market):
+        first, second = self._journaled(tmp_path, market)
+        writer = SessionStateStore(tmp_path)
+        writer.open_journal(0)
+        writer.append(first)
+        writer.append(second)
+        journal = tmp_path / "journal" / "0.log"
+        data = bytearray(journal.read_bytes())
+        data[20] ^= 0xFF  # inside the first record's body
+        journal.write_bytes(bytes(data))
+        with pytest.raises(CheckpointCorrupt, match="0.log"):
+            SessionStateStore(tmp_path).load_session_record("a")
+
+    def test_compaction_folds_the_journal(
+        self, tmp_path, market, monkeypatch
+    ):
+        first, second = self._journaled(tmp_path, market)
+        writer = SessionStateStore(tmp_path)
+        writer.open_journal(0)
+        writer.append(first)
+        journal = tmp_path / "journal" / "0.log"
+        assert SessionStateStore(tmp_path).compact() == ("a", "b")
+        assert journal.stat().st_size == 0
+        snapshot = json.loads(
+            (tmp_path / "sessions" / "a" / "state.json").read_text()
+        )
+        assert snapshot["state"]["next_t"] == first["a"]["next_t"]
+
+        # Past the size bound, the writer compacts by itself.
+        monkeypatch.setattr(store_mod, "JOURNAL_COMPACT_BYTES", 1)
+        writer = SessionStateStore(tmp_path)
+        writer.open_journal(0)
+        writer.append(second)
+        assert journal.stat().st_size == 0
+        self._assert_holds(SessionStateStore(tmp_path), second)
 
     def test_lru_overflow_order(self, tmp_path):
         store = SessionStateStore(tmp_path, max_resident=2)
